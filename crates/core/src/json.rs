@@ -258,11 +258,17 @@ fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
 }
 
-/// Parses a JSON document, requiring it to span the full input.
+/// Deepest array/object nesting [`parse`] accepts. The parser recurses once
+/// per level, so the bound keeps hostile input from overflowing the stack.
+pub const MAX_DEPTH: usize = 256;
+
+/// Parses a JSON document, requiring it to span the full input and to nest
+/// arrays and objects at most [`MAX_DEPTH`] deep.
 pub fn parse(input: &str) -> Result<Json, JsonError> {
     let mut p = Parser {
         bytes: input.as_bytes(),
         pos: 0,
+        depth: 0,
     };
     p.skip_ws();
     let v = p.value()?;
@@ -276,6 +282,7 @@ pub fn parse(input: &str) -> Result<Json, JsonError> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -315,13 +322,24 @@ impl<'a> Parser<'a> {
     }
 
     fn value(&mut self) -> Result<Json, JsonError> {
+        if matches!(self.peek(), Some(b'[' | b'{')) {
+            if self.depth == MAX_DEPTH {
+                return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+            }
+            self.depth += 1;
+            let v = if self.peek() == Some(b'[') {
+                self.array()
+            } else {
+                self.object()
+            };
+            self.depth -= 1;
+            return v;
+        }
         match self.peek() {
             Some(b'n') => self.literal("null", Json::Null),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => self.string().map(Json::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
             Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
             Some(_) => Err(self.err("unexpected character")),
             None => Err(self.err("unexpected end of input")),
@@ -548,6 +566,19 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "accepted: {bad}");
         }
+    }
+
+    #[test]
+    fn nesting_depth_is_bounded() {
+        let deep = "[".repeat(100_000);
+        let err = parse(&deep).unwrap_err();
+        assert!(err.message.contains("nesting"), "{err}");
+        assert_eq!(err.offset, MAX_DEPTH);
+        let objects = "{\"a\":".repeat(MAX_DEPTH + 1);
+        assert!(parse(&objects).unwrap_err().message.contains("nesting"));
+        // exactly MAX_DEPTH levels still parse
+        let ok = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(parse(&ok).is_ok());
     }
 
     #[test]

@@ -87,7 +87,7 @@ pub use prop::{PropId, PropertyInterner};
 pub use propset::{Classifier, PropSet, Query};
 pub use solution::Solution;
 pub use stats::InstanceStats;
-pub use universe::{ClassifierId, ClassifierUniverse};
+pub use universe::{ClassifierId, ClassifierRef, ClassifierUniverse};
 pub use weight::Weight;
 pub use weights::{Weights, WeightsBuilder};
 

@@ -7,6 +7,7 @@
 //! algorithm in the workspace deterministic.
 
 use crate::prop::PropId;
+use std::borrow::Borrow;
 use std::fmt;
 
 /// A query `q ⊆ P`: the set of properties a conjunctive search query tests.
@@ -226,6 +227,15 @@ impl PropSet {
             }
         }
         Some(mask)
+    }
+}
+
+// `Hash`, `Eq` and `Ord` of a `PropSet` are those of its member slice, so
+// maps keyed by `PropSet` can be probed with a borrowed `&[PropId]`.
+impl Borrow<[PropId]> for PropSet {
+    #[inline]
+    fn borrow(&self) -> &[PropId] {
+        &self.0
     }
 }
 

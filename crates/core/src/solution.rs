@@ -56,7 +56,7 @@ impl Solution {
         let mut classifiers = Vec::with_capacity(ids.len());
         for id in ids {
             cost = cost.saturating_add(universe.weight(id));
-            classifiers.push(universe.classifier(id).clone());
+            classifiers.push(universe.classifier(id).to_propset());
         }
         classifiers.sort_unstable();
         Solution { classifiers, cost }

@@ -14,11 +14,13 @@
 
 use crate::cast::u32_of;
 use crate::error::{Mc3Error, Result};
-use crate::fxhash::FxHashMap;
+use crate::fxhash::FxHasher;
 use crate::instance::Instance;
+use crate::prop::PropId;
 use crate::propset::{Classifier, PropSet};
 use crate::weight::Weight;
 use std::fmt;
+use std::hash::Hasher;
 
 /// Dense id of a classifier within a [`ClassifierUniverse`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -77,15 +79,67 @@ impl QueryLocal {
     }
 }
 
+/// A classifier of a [`ClassifierUniverse`], borrowed from its arena.
+///
+/// The members are the sorted, duplicate-free [`PropId`]s of the
+/// classifier; [`ClassifierRef::to_propset`] copies them into an owned
+/// [`Classifier`] when one is needed (solutions, cache entries).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ClassifierRef<'a>(&'a [PropId]);
+
+impl<'a> ClassifierRef<'a> {
+    /// Iterates members in ascending order.
+    #[inline]
+    pub fn iter(self) -> impl Iterator<Item = PropId> + 'a {
+        self.0.iter().copied()
+    }
+
+    /// Number of properties (the classifier length).
+    #[inline]
+    pub fn len(self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the classifier has no members (never true inside a universe).
+    #[inline]
+    pub fn is_empty(self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// An owned copy.
+    pub fn to_propset(self) -> Classifier {
+        PropSet::from_sorted(self.0.to_vec())
+    }
+}
+
 /// The deduplicated classifier universe of an instance.
+///
+/// Classifiers live in one flat [`PropId`] arena (`props[offsets[c] ..
+/// offsets[c + 1]]` is classifier `c`) and are interned through an
+/// open-addressing table of ids keyed by the hash of that slice, so each
+/// classifier is stored once and a lookup that hits allocates nothing.
 #[derive(Debug, Clone)]
 pub struct ClassifierUniverse {
-    classifiers: Vec<Classifier>,
+    props: Vec<PropId>,
+    offsets: Vec<u32>,
     weights: Vec<Weight>,
     incidence: Vec<u32>,
-    index: FxHashMap<Classifier, ClassifierId>,
+    slots: Vec<u32>,
     per_query: Vec<QueryLocal>,
     max_classifier_len: usize,
+}
+
+/// Marks an unused slot of the id table.
+const EMPTY_SLOT: u32 = u32::MAX;
+
+fn slice_hash(key: &[PropId]) -> usize {
+    let mut h = FxHasher::default();
+    for p in key {
+        h.write_u32(p.0);
+    }
+    // fold the well-mixed high half into the low bits the table masks
+    let x = h.finish();
+    (x ^ (x >> 32)) as usize
 }
 
 impl ClassifierUniverse {
@@ -97,71 +151,120 @@ impl ClassifierUniverse {
     /// Enumerates the bounded universe: only classifiers of length ≤
     /// `max_classifier_len` (`k'` of §5.3). A bound of 0 is clamped to 1
     /// because singleton classifiers are always needed for coverability.
+    ///
+    /// Ids are assigned in first-occurrence order: queries in instance
+    /// order, masks ascending within a query.
     pub fn build_bounded(instance: &Instance, max_classifier_len: usize) -> ClassifierUniverse {
         let kp = max_classifier_len.max(1);
-        let mut classifiers: Vec<Classifier> = Vec::new();
-        let mut weights: Vec<Weight> = Vec::new();
-        let mut incidence: Vec<u32> = Vec::new();
-        let mut index: FxHashMap<Classifier, ClassifierId> = FxHashMap::default();
-        let mut per_query: Vec<QueryLocal> = Vec::with_capacity(instance.num_queries());
+        let mut u = ClassifierUniverse {
+            props: Vec::new(),
+            offsets: vec![0],
+            weights: Vec::new(),
+            incidence: Vec::new(),
+            slots: vec![EMPTY_SLOT; (4 * instance.num_queries()).next_power_of_two().max(16)],
+            per_query: Vec::with_capacity(instance.num_queries()),
+            max_classifier_len: kp,
+        };
+        let mut buf = [PropId(0); crate::MAX_QUERY_LEN];
 
         for q in instance.queries() {
-            let len = q.len();
+            let members = q.ids();
+            let len = members.len();
             let full = (1u64 << len) as usize;
             let mut table = vec![ClassifierId::NONE; full];
             for mask in 1..u32_of(full) {
                 if (mask.count_ones() as usize) > kp {
                     continue;
                 }
-                let subset = q.subset_by_mask(mask);
-                let id = match index.get(&subset) {
-                    Some(&id) => id,
-                    None => {
-                        let id = ClassifierId(u32_of(classifiers.len()));
-                        weights.push(instance.weight(&subset));
-                        classifiers.push(subset.clone());
-                        incidence.push(0);
-                        index.insert(subset, id);
-                        id
-                    }
+                let mut n = 0;
+                let mut bits = mask;
+                while bits != 0 {
+                    buf[n] = members[bits.trailing_zeros() as usize];
+                    n += 1;
+                    bits &= bits - 1;
+                }
+                let key = &buf[..n];
+                let id = match u.find(key) {
+                    Ok(id) => id,
+                    Err(slot) => u.intern(slot, key, instance.weights().weight_of_ids(key)),
                 };
                 // Incidence counts queries that *include* S; each (q, S ⊆ q)
                 // pair is visited exactly once here. Infinite-weight
                 // classifiers have I(S) = 0 by definition (§5).
-                if weights[id.index()].is_finite() {
-                    incidence[id.index()] += 1;
+                if u.weights[id.index()].is_finite() {
+                    u.incidence[id.index()] += 1;
                 }
                 table[mask as usize] = id;
             }
-            per_query.push(QueryLocal { len, table });
+            u.per_query.push(QueryLocal { len, table });
         }
+        u
+    }
 
-        ClassifierUniverse {
-            classifiers,
-            weights,
-            incidence,
-            index,
-            per_query,
-            max_classifier_len: kp,
+    fn members(&self, c: usize) -> &[PropId] {
+        &self.props[self.offsets[c] as usize..self.offsets[c + 1] as usize]
+    }
+
+    /// The id of `key`, or the empty slot where it would be interned.
+    fn find(&self, key: &[PropId]) -> std::result::Result<ClassifierId, usize> {
+        let mask = self.slots.len() - 1;
+        let mut slot = slice_hash(key) & mask;
+        loop {
+            let id = self.slots[slot];
+            if id == EMPTY_SLOT {
+                return Err(slot);
+            }
+            if self.members(id as usize) == key {
+                return Ok(ClassifierId(id));
+            }
+            slot = (slot + 1) & mask;
         }
+    }
+
+    /// Appends `key` as a new classifier at the empty `slot` found by
+    /// [`Self::find`], growing the id table to keep it at most half full.
+    fn intern(&mut self, slot: usize, key: &[PropId], weight: Weight) -> ClassifierId {
+        let id = ClassifierId(u32_of(self.weights.len()));
+        self.props.extend_from_slice(key);
+        self.offsets.push(u32_of(self.props.len()));
+        self.weights.push(weight);
+        self.incidence.push(0);
+        self.slots[slot] = id.0;
+        if 2 * self.weights.len() > self.slots.len() {
+            self.rehash(2 * self.slots.len());
+        }
+        id
+    }
+
+    fn rehash(&mut self, capacity: usize) {
+        let mut slots = vec![EMPTY_SLOT; capacity];
+        let mask = capacity - 1;
+        for c in 0..self.weights.len() {
+            let mut slot = slice_hash(self.members(c)) & mask;
+            while slots[slot] != EMPTY_SLOT {
+                slot = (slot + 1) & mask;
+            }
+            slots[slot] = u32_of(c);
+        }
+        self.slots = slots;
     }
 
     /// Number of distinct classifiers (`m̂` of §5.2).
     #[inline]
     pub fn len(&self) -> usize {
-        self.classifiers.len()
+        self.weights.len()
     }
 
     /// Whether the universe is empty.
     #[inline]
     pub fn is_empty(&self) -> bool {
-        self.classifiers.is_empty()
+        self.weights.is_empty()
     }
 
     /// The classifier with dense id `id`.
     #[inline]
-    pub fn classifier(&self, id: ClassifierId) -> &Classifier {
-        &self.classifiers[id.index()]
+    pub fn classifier(&self, id: ClassifierId) -> ClassifierRef<'_> {
+        ClassifierRef(self.members(id.index()))
     }
 
     /// The materialized weight of `id`.
@@ -205,7 +308,7 @@ impl ClassifierUniverse {
 
     /// Looks up a classifier's dense id.
     pub fn id_of(&self, classifier: &PropSet) -> Option<ClassifierId> {
-        self.index.get(classifier).copied()
+        self.find(classifier.ids()).ok()
     }
 
     /// Looks up a classifier's dense id, erroring if outside `C_Q`.
@@ -235,11 +338,8 @@ impl ClassifierUniverse {
     }
 
     /// Iterates `(id, classifier)` pairs in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (ClassifierId, &Classifier)> {
-        self.classifiers
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (ClassifierId(u32_of(i)), c))
+    pub fn iter(&self) -> impl Iterator<Item = (ClassifierId, ClassifierRef<'_>)> {
+        (0..self.len()).map(|c| (ClassifierId(u32_of(c)), ClassifierRef(self.members(c))))
     }
 }
 
@@ -305,7 +405,10 @@ mod tests {
         assert!(local.id(0).is_none());
         // mask 0b101 → {10, 30}
         let id = local.id(0b101);
-        assert_eq!(u.classifier(id), &PropSet::from_ids([10u32, 30]));
+        assert_eq!(
+            u.classifier(id).to_propset(),
+            PropSet::from_ids([10u32, 30])
+        );
         // 2^3 - 1 = 7 classifiers
         assert_eq!(u.len(), 7);
     }

@@ -16,6 +16,7 @@
 //!   pure function of `(seed, classifier)`.
 
 use crate::fxhash::{FxHashMap, FxHasher};
+use crate::prop::PropId;
 use crate::propset::{Classifier, PropSet};
 use crate::weight::Weight;
 use std::hash::Hasher;
@@ -95,12 +96,22 @@ impl Weights {
     /// The cost of `classifier`.
     pub fn weight(&self, classifier: &PropSet) -> Weight {
         match self {
+            Weights::Custom(f) => f(classifier),
+            _ => self.weight_of_ids(classifier.ids()),
+        }
+    }
+
+    /// The cost of the classifier whose members are `ids`, which must be
+    /// sorted and duplicate-free (a [`PropSet::ids`] slice). Only
+    /// [`Weights::Custom`] builds a [`PropSet`] to answer.
+    pub fn weight_of_ids(&self, ids: &[PropId]) -> Weight {
+        match self {
             Weights::Uniform(w) => *w,
-            Weights::Map { map, default } => map.get(classifier).copied().unwrap_or(*default),
+            Weights::Map { map, default } => map.get(ids).copied().unwrap_or(*default),
             Weights::Seeded { seed, lo, hi } => {
                 let mut h = FxHasher::default();
                 h.write_u64(*seed);
-                for p in classifier.iter() {
+                for p in ids {
                     h.write_u32(p.0);
                 }
                 // splitmix-style finalization for better low-bit diffusion
@@ -112,7 +123,7 @@ impl Weights {
                 x ^= x >> 31;
                 Weight::new(lo + x % (hi - lo + 1))
             }
-            Weights::Custom(f) => f(classifier),
+            Weights::Custom(f) => f(&PropSet::from_sorted(ids.to_vec())),
         }
     }
 
@@ -258,6 +269,25 @@ mod tests {
         }
         for (i, &b) in buckets.iter().enumerate() {
             assert!(b > 700, "bucket {i} too small: {b}");
+        }
+    }
+
+    #[test]
+    fn slice_lookup_agrees_with_propset_lookup() {
+        let map = WeightsBuilder::new()
+            .classifier([1u32, 2], 4u64)
+            .infinite([3u32])
+            .build();
+        let custom = Weights::custom(|c: &PropSet| Weight::new(c.len() as u64 + 1));
+        for w in [
+            map,
+            custom,
+            Weights::seeded(3, 1, 50),
+            Weights::uniform(2u64),
+        ] {
+            for c in [ps(&[1, 2]), ps(&[3]), ps(&[1]), ps(&[2, 3, 4])] {
+                assert_eq!(w.weight_of_ids(c.ids()), w.weight(&c), "{w:?} {c}");
+            }
         }
     }
 

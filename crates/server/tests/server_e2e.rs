@@ -85,6 +85,16 @@ fn serving_plane_end_to_end() {
     assert!(body.contains("bad dataset"));
     let (status, _) = request(addr, "POST", "/solve?algorithm=wat", Some(b"{}"));
     assert_eq!(status, 400);
+    // a body nested far past the parser's depth bound is a plain 400, not
+    // a worker stack overflow, and the server keeps answering
+    let deep = "[".repeat(100_000);
+    let (status, body) = request(addr, "POST", "/solve", Some(deep.as_bytes()));
+    assert_eq!(status, 400, "deep /solve body: {body}");
+    assert!(body.contains("nesting"), "deep /solve body: {body}");
+    let (status, _) = request(addr, "POST", "/solve-batch", Some(deep.as_bytes()));
+    assert_eq!(status, 400);
+    let (status, body) = request(addr, "GET", "/healthz", None);
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
 
     // --- a real solve, with certificate ---
     let body_bytes = dataset_body(50, 7);

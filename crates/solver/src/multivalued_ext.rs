@@ -139,7 +139,11 @@ pub fn solve_with_multivalued(
         .iter()
         .map(|&s| {
             if s < binary_sets {
-                MixedPick::Binary(ws.universe.classifier(red.set_to_classifier[s]).clone())
+                MixedPick::Binary(
+                    ws.universe
+                        .classifier(red.set_to_classifier[s])
+                        .to_propset(),
+                )
             } else {
                 MixedPick::MultiValued(s - binary_sets)
             }

@@ -144,17 +144,28 @@ fn step1(ws: &mut WorkState<'_>, stats: &mut PreprocessStats) -> Result<()> {
 }
 
 /// Step 3 with the line-11 repetition, bounded by `opts.max_passes`.
+///
+/// The cheapest decomposition of a classifier depends only on the effective
+/// weights of its proper subsets, so after the first pass (which prices
+/// every classifier of length ≥ 2) a classifier is re-priced only when one
+/// of those may have dropped. Between two sweeps that happens only through
+/// a forced selection, which sets the selected classifier's weight to 0 and
+/// queues all its supersets. A removal or refresh during a sweep needs no
+/// queueing of its own: the classifier was queued because a subset of it
+/// was selected, and that selection queued every longer superset, which
+/// the sweep reaches later because it runs by increasing length. Every
+/// classifier left out would be priced as it was last time, which changes
+/// nothing, so passes, removals and refreshes match the full sweep one for
+/// one.
 fn step3_fixpoint(
     ws: &mut WorkState<'_>,
     opts: &PreprocessOptions,
     stats: &mut PreprocessStats,
 ) -> Result<()> {
-    let max_len = ws.universe.max_classifier_len();
-    // classifier ids grouped by length, once
-    let mut by_len: Vec<Vec<u32>> = vec![Vec::new(); max_len + 1];
+    let mut work = Worklist::new(ws);
     for (id, c) in ws.universe.iter() {
         if c.len() >= 2 {
-            by_len[c.len()].push(id.0);
+            work.push(id, c.len());
         }
     }
 
@@ -162,18 +173,22 @@ fn step3_fixpoint(
         stats.passes += 1;
         mc3_telemetry::span_add(mc3_telemetry::Counter::PrePasses, 1);
         let mut changed = false;
+        let mut evals = 0u64;
 
-        // --- decomposition sweep, by increasing length ---
-        for group in by_len.iter().skip(2) {
-            for &raw in group {
+        // --- decomposition sweep over the queued classifiers, by increasing length ---
+        for len in 2..work.buckets.len() {
+            let mut bucket = std::mem::take(&mut work.buckets[len]);
+            for &raw in &bucket {
                 let id = ClassifierId(raw);
                 let c = raw as usize;
+                work.unqueue(id);
                 if ws.selected[c] || ws.relevant_count[c] == 0 {
                     continue;
                 }
                 let Some((q, m)) = ws.occurrences(id).next() else {
                     continue;
                 };
+                evals += 1;
                 let best = cheapest_decomposition(ws, q as usize, m);
                 if ws.removed[c] {
                     // keep the recorded replacement fresh (it may have
@@ -191,10 +206,13 @@ fn step3_fixpoint(
                     ws.eff[c] = ws.weight[c];
                 }
             }
+            bucket.clear();
+            work.buckets[len] = bucket;
         }
+        mc3_telemetry::span_add(mc3_telemetry::Counter::PreStep3Evals, evals);
 
         // --- line 10: forced classifiers ---
-        changed |= select_forced(ws, stats)?;
+        changed |= select_forced(ws, stats, &mut work)?;
 
         if !changed {
             break;
@@ -203,15 +221,69 @@ fn step3_fixpoint(
     Ok(())
 }
 
+/// The Step-3 worklist: classifiers to re-price, bucketed by length and
+/// deduplicated by a queued bitset.
+struct Worklist {
+    buckets: Vec<Vec<u32>>,
+    queued: Vec<u64>,
+}
+
+impl Worklist {
+    fn new(ws: &WorkState<'_>) -> Worklist {
+        Worklist {
+            buckets: vec![Vec::new(); ws.universe.max_classifier_len() + 1],
+            queued: vec![0; ws.universe.len().div_ceil(64)],
+        }
+    }
+
+    fn push(&mut self, id: ClassifierId, len: usize) {
+        let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
+        if self.queued[word] & bit == 0 {
+            self.queued[word] |= bit;
+            self.buckets[len].push(id.0);
+        }
+    }
+
+    fn unqueue(&mut self, id: ClassifierId) {
+        self.queued[id.index() / 64] &= !(1u64 << (id.index() % 64));
+    }
+
+    /// Queues every proper superset of `id` that is still relevant: its
+    /// supersets within each alive query it occurs in (a relevant superset
+    /// occurs in some alive query, and `id` occurs there too). Selected
+    /// ones are skipped when popped.
+    fn mark_supersets(&mut self, ws: &WorkState<'_>, id: ClassifierId) {
+        for (q, m) in ws.occurrences(id) {
+            if !ws.alive[q as usize] {
+                continue;
+            }
+            let local = ws.universe.query_local(q as usize);
+            let rest = local.full_mask() & !m;
+            let mut extra = rest;
+            while extra != 0 {
+                let sup = local.table[(m | extra) as usize];
+                if !sup.is_none() {
+                    self.push(sup, (m | extra).count_ones() as usize);
+                }
+                extra = (extra - 1) & rest;
+            }
+        }
+    }
+}
+
 /// The cheapest pair `(A, B)` of proper sub-classifiers of the classifier at
 /// local mask `m` of query `q` with `A ∪ B` equal to it, priced by effective
-/// weights.
+/// weights. One member of every such pair holds the lowest bit of `m`, so
+/// only those `A` are enumerated.
 fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32) -> Weight {
     let local = ws.universe.query_local(q);
     let mut best = Weight::INFINITE;
-    // a iterates over proper non-empty submasks of m
-    let mut a = (m - 1) & m;
-    while a > 0 {
+    let low = m & m.wrapping_neg();
+    let rest = m & !low;
+    // a = low ∪ s iterates over proper submasks of m holding the lowest bit
+    let mut s = rest.wrapping_sub(1) & rest;
+    loop {
+        let a = low | s;
         let wa = ws.eff[local.table[a as usize].index()];
         if wa < best {
             // b = (m \ a) ∪ extra for every extra ⊊ a
@@ -230,14 +302,23 @@ fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32) -> Weight {
                 extra = (extra - 1) & a;
             }
         }
-        a = (a - 1) & m;
+        if s == 0 {
+            break;
+        }
+        s = (s - 1) & rest;
     }
     best
 }
 
 /// Per-property forcing: if a needed property of an alive query is contained
-/// in exactly one usable classifier fitting the query, select it.
-fn select_forced(ws: &mut WorkState<'_>, stats: &mut PreprocessStats) -> Result<bool> {
+/// in exactly one usable classifier fitting the query, select it. A
+/// selection drops its effective weight to 0, so its supersets are queued on
+/// `work` for the next pass.
+fn select_forced(
+    ws: &mut WorkState<'_>,
+    stats: &mut PreprocessStats,
+    work: &mut Worklist,
+) -> Result<bool> {
     let mut changed = false;
     let nq = ws.instance.num_queries();
     let mut count = [0u32; mc3_core::MAX_QUERY_LEN];
@@ -283,7 +364,11 @@ fn select_forced(ws: &mut WorkState<'_>, stats: &mut PreprocessStats) -> Result<
         }
         if let Some(mask) = to_select {
             let id = ws.universe.query_local(q).table[mask as usize];
+            let dropped = !ws.eff[id.index()].is_zero();
             ws.select(id);
+            if dropped {
+                work.mark_supersets(ws, id);
+            }
             stats.selected += 1;
             mc3_telemetry::span_add(mc3_telemetry::Counter::PreObs33Forced, 1);
             changed = true;

@@ -614,7 +614,7 @@ impl Mc3Solver {
                 .partition(|id| prebuilt_ids.contains(&id.0));
             prebuilt_used = pre_ids
                 .into_iter()
-                .map(|id| ws.universe.classifier(id).clone())
+                .map(|id| ws.universe.classifier(id).to_propset())
                 .collect();
             prebuilt_used.sort_unstable();
             picked = new_ids;

@@ -72,6 +72,8 @@ declare_counters! {
     PreObs34Pruned => "pre_obs34_pruned",
     /// Preprocessing: Step-3 fixpoint passes.
     PrePasses => "pre_passes",
+    /// Preprocessing: Step-3 decompositions priced (classifiers re-examined).
+    PreStep3Evals => "pre_step3_evals",
     /// Solver: property-connected components found after preprocessing.
     ComponentsSplit => "components_split",
     /// Solver: dispatches into the exact k ≤ 2 path (Algorithm 2).
