@@ -237,10 +237,10 @@ fn solve(
     chrome: Option<&str>,
 ) -> Result<String, String> {
     let ds = load_dataset(dataset)?;
-    let mut solver = Mc3Solver::new()
-        .algorithm(algorithm)
-        .parallel(parallel)
-        .threads(threads);
+    if threads > 0 {
+        mc3_solver::executor::configure_threads(threads);
+    }
+    let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(parallel);
     if no_preprocess {
         solver = solver.without_preprocessing();
     }

@@ -150,13 +150,6 @@ impl Json {
         }
     }
 
-    /// Writes compact single-line JSON.
-    pub fn to_string(&self) -> String {
-        let mut out = String::new();
-        self.write(&mut out, None, 0);
-        out
-    }
-
     /// Writes pretty two-space-indented JSON.
     pub fn to_string_pretty(&self) -> String {
         let mut out = String::new();
@@ -202,7 +195,7 @@ impl Json {
 
 impl fmt::Display for Json {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        // Compact form; `Json::to_string` (inherent) is the same writer.
+        // Compact single-line form.
         let mut out = String::new();
         self.write(&mut out, None, 0);
         f.write_str(&out)

@@ -619,13 +619,18 @@ fn handle_metrics(state: &ServerState) -> HandlerResponse {
     }
 }
 
+/// The `algorithm` query parameter of both solve routes (default `auto`).
+fn algorithm_param(req: &Request) -> Result<Algorithm, String> {
+    req.query_param("algorithm")
+        .map_or(Ok(Algorithm::Auto), Algorithm::parse_name)
+}
+
+/// `POST /solve`: the one-item case of [`solve_item`], behind the
+/// exact-body request cache.
 fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match req.query_param("algorithm") {
-        Some(name) => match Algorithm::parse_name(name) {
-            Ok(a) => a,
-            Err(e) => return error_response(400, &e),
-        },
-        None => Algorithm::Auto,
+    let algorithm = match algorithm_param(req) {
+        Ok(a) => a,
+        Err(e) => return error_response(400, &e),
     };
     // Exact-body fast path: an identical (body, algorithm) pair replays
     // the memoized response, re-stamped with this request's id.
@@ -646,12 +651,12 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
         }
     }
 
-    let ds = match mc3_workload::read_dataset_json(req.body.as_slice()) {
-        Ok(ds) => ds,
-        Err(e) => return error_response(400, &format!("bad dataset: {e}")),
-    };
-
-    let fields = match solve_doc(state, &ds, algorithm) {
+    let fields = std::str::from_utf8(&req.body)
+        .map_err(|_| "stream did not contain valid UTF-8".to_owned())
+        .and_then(|text| mc3_core::json::parse(text).map_err(|e| e.to_string()))
+        .map_err(|e| (400, format!("bad dataset: {e}")))
+        .and_then(|item| solve_item(state, item, algorithm));
+    let fields = match fields {
         Ok(fields) => fields,
         Err((status, msg)) => return error_response(status, &msg),
     };
@@ -667,20 +672,25 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
     response
 }
 
-/// Solves one dataset and renders the shared response fields (everything
-/// except `request_id`/`status`, which the callers add). `Err` carries
-/// the HTTP status and message.
+/// One item of either solve route: decodes a dataset document and
+/// solves it, rendering the shared response fields (everything except
+/// `request_id`/`status`, which the callers add). `Err` carries the HTTP
+/// status and message.
 ///
 /// Request-scoped tracing: the solve's span tree is captured on this
 /// worker thread and merged into the global aggregate. The solve runs
 /// `parallel(true)` on the shared executor — safe for the per-request
 /// scope because executor workers capture and discard their own span
 /// roots per task, so only this thread's `solve` tree lands here.
-fn solve_doc(
+fn solve_item(
     state: &ServerState,
-    ds: &mc3_workload::Dataset,
+    item: Json,
     algorithm: Algorithm,
 ) -> Result<Vec<(&'static str, Json)>, (u16, String)> {
+    let ds = mc3_workload::DatasetFile::from_json(&item)
+        .and_then(|f| f.into_dataset().map_err(|e| e.to_string()))
+        .map_err(|e| (400, format!("bad dataset: {e}")))?;
+    drop(item); // the document tree is dead weight during the solve
     let scope = mc3_telemetry::ScopedSession::begin();
     let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(true);
     if let Some(cache) = &state.solve_cache {
@@ -739,12 +749,9 @@ fn solve_doc(
 /// the shared component cache, so duplicate-heavy batches amortize both
 /// parsing and solving.
 fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match req.query_param("algorithm") {
-        Some(name) => match Algorithm::parse_name(name) {
-            Ok(a) => a,
-            Err(e) => return error_response(400, &e),
-        },
-        None => Algorithm::Auto,
+    let algorithm = match algorithm_param(req) {
+        Ok(a) => a,
+        Err(e) => return error_response(400, &e),
     };
     let body = match std::str::from_utf8(&req.body) {
         Ok(s) => s,
@@ -761,25 +768,18 @@ fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> H
         return error_response(400, "empty batch");
     }
 
+    let count = items.len();
     let mut ok = 0usize;
-    let mut out = Vec::with_capacity(items.len());
-    for item in &items {
-        let ds = mc3_workload::DatasetFile::from_json(item)
-            .and_then(|f| f.into_dataset().map_err(|e| e.to_string()));
-        let item_doc = match ds {
-            Ok(ds) => match solve_doc(state, &ds, algorithm) {
-                Ok(fields) => {
-                    ok += 1;
-                    Json::object(std::iter::once(("status", Json::Int(200))).chain(fields))
-                }
-                Err((status, msg)) => Json::object([
-                    ("status", Json::Int(i128::from(status))),
-                    ("error", Json::Str(msg)),
-                ]),
-            },
-            Err(e) => Json::object([
-                ("status", Json::Int(400)),
-                ("error", Json::Str(format!("bad dataset: {e}"))),
+    let mut out = Vec::with_capacity(count);
+    for item in items {
+        let item_doc = match solve_item(state, item, algorithm) {
+            Ok(fields) => {
+                ok += 1;
+                Json::object(std::iter::once(("status", Json::Int(200))).chain(fields))
+            }
+            Err((status, msg)) => Json::object([
+                ("status", Json::Int(i128::from(status))),
+                ("error", Json::Str(msg)),
             ]),
         };
         out.push(item_doc);
@@ -787,7 +787,7 @@ fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> H
     let doc = Json::object([
         ("request_id", Json::Str(request_id.to_owned())),
         ("algorithm", Json::Str(algorithm.name().to_owned())),
-        ("count", Json::Int(items.len() as i128)),
+        ("count", Json::Int(count as i128)),
         ("ok", Json::Int(ok as i128)),
         ("items", Json::Array(out)),
     ]);

@@ -202,22 +202,11 @@ impl SolveCache {
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
-    /// Looks up a candidate *solution* entry, refreshing its LRU
-    /// position; negative entries answer `None` (use
-    /// [`lookup_outcome`](Self::lookup_outcome) to see them). Does
-    /// *not* count a hit — callers must re-verify the candidate first
-    /// and then call [`confirm_hit`](Self::confirm_hit) or
-    /// [`reject`](Self::reject).
-    pub fn lookup(&self, key: u128) -> Option<CachedSolve> {
-        match self.lookup_outcome(key) {
-            Some(CachedOutcome::Solved(s)) => Some(s),
-            _ => None,
-        }
-    }
-
     /// Looks up a candidate entry of either polarity, refreshing its
-    /// LRU position. Like [`lookup`](Self::lookup), counts nothing —
-    /// the caller re-verifies and then confirms or rejects.
+    /// LRU position. Counts nothing: the caller re-verifies the
+    /// candidate first and then calls [`confirm_hit`](Self::confirm_hit)
+    /// (or [`confirm_negative_hit`](Self::confirm_negative_hit)) or
+    /// [`reject`](Self::reject).
     pub fn lookup_outcome(&self, key: u128) -> Option<CachedOutcome> {
         let mut shard = self.shard(key).lock().ok()?;
         shard.touch(key);
@@ -509,28 +498,10 @@ pub(crate) struct CacheContext {
 }
 
 impl CacheContext {
-    /// The full consult: canonicalize → lookup → remap + re-verify; on a
-    /// miss, run `solve` and memoize its result. When canonicalization
-    /// exhausts its budget the component is solved uncached and neither
-    /// a hit nor a miss is recorded (the cache was never consulted).
+    /// The consult for one component, canonicalized by the caller's
+    /// dispatch plan: lookup → remap + re-verify; on a miss, run `solve`
+    /// and memoize its result (an uncoverable verdict included).
     pub fn solve_component(
-        &self,
-        ws: &WorkState<'_>,
-        comp: &[usize],
-        solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
-    ) -> mc3_core::Result<Vec<ClassifierId>> {
-        match component_canonical(ws, comp, self.kp) {
-            Some(canonical) => self.solve_component_canonical(ws, comp, &canonical, solve),
-            None => solve(),
-        }
-    }
-
-    /// [`solve_component`](Self::solve_component) with the
-    /// canonicalization already done — the cache-aware scheduler
-    /// fingerprints every component up front to order dispatch, and
-    /// this entry point lets the worker reuse that work instead of
-    /// canonicalizing twice.
-    pub fn solve_component_canonical(
         &self,
         ws: &WorkState<'_>,
         comp: &[usize],
@@ -595,6 +566,13 @@ impl CacheContext {
 mod tests {
     use super::*;
 
+    fn solved(cache: &SolveCache, key: u128) -> Option<CachedSolve> {
+        match cache.lookup_outcome(key) {
+            Some(CachedOutcome::Solved(s)) => Some(s),
+            _ => None,
+        }
+    }
+
     fn entry(n: usize, fill: u32) -> CachedSolve {
         CachedSolve {
             sets: vec![vec![fill; n]],
@@ -605,10 +583,10 @@ mod tests {
     #[test]
     fn lookup_insert_roundtrip_and_stats() {
         let cache = SolveCache::with_capacity_mb(1);
-        assert!(cache.lookup(7).is_none());
+        assert!(cache.lookup_outcome(7).is_none());
         cache.note_miss(7);
         cache.insert(7, entry(3, 9));
-        let got = cache.lookup(7).expect("present");
+        let got = solved(&cache, 7).expect("present");
         assert_eq!(got.sets, vec![vec![9, 9, 9]]);
         assert_eq!(got.cost_raw, 9);
         cache.confirm_hit(7);
@@ -622,9 +600,9 @@ mod tests {
     fn reject_drops_the_entry() {
         let cache = SolveCache::with_capacity_mb(1);
         cache.insert(5, entry(2, 1));
-        assert!(cache.lookup(5).is_some());
+        assert!(cache.lookup_outcome(5).is_some());
         cache.reject(5);
-        assert!(cache.lookup(5).is_none());
+        assert!(cache.lookup_outcome(5).is_none());
         assert_eq!(cache.stats().entries, 0);
     }
 
@@ -635,11 +613,11 @@ mod tests {
         cache.insert(0, entry(1, 1));
         cache.insert(16, entry(1, 2));
         // Touch key 0 so key 16 is the LRU victim.
-        assert!(cache.lookup(0).is_some());
+        assert!(cache.lookup_outcome(0).is_some());
         cache.insert(32, entry(1, 3));
-        assert!(cache.lookup(16).is_none(), "LRU entry evicted");
-        assert!(cache.lookup(0).is_some());
-        assert!(cache.lookup(32).is_some());
+        assert!(cache.lookup_outcome(16).is_none(), "LRU entry evicted");
+        assert!(cache.lookup_outcome(0).is_some());
+        assert!(cache.lookup_outcome(32).is_some());
         assert!(cache.stats().evictions >= 1);
     }
 
@@ -647,15 +625,14 @@ mod tests {
     fn oversized_entries_are_not_admitted() {
         let cache = SolveCache::with_capacity_bytes(SHARDS * ENTRY_OVERHEAD);
         cache.insert(3, entry(100_000, 1));
-        assert!(cache.lookup(3).is_none());
+        assert!(cache.lookup_outcome(3).is_none());
         assert_eq!(cache.stats().insertions, 0);
     }
 
     #[test]
-    fn negative_entries_roundtrip_and_hide_from_positive_lookup() {
+    fn negative_entries_roundtrip() {
         let cache = SolveCache::with_capacity_mb(1);
         cache.insert_negative(11);
-        assert!(cache.lookup(11).is_none(), "not a solution entry");
         assert!(matches!(
             cache.lookup_outcome(11),
             Some(CachedOutcome::Uncoverable)
@@ -677,8 +654,11 @@ mod tests {
         // A lookup would promote key 0; the scheduler probe must not.
         assert!(cache.contains(0));
         cache.insert(32, entry(1, 3));
-        assert!(cache.lookup(0).is_none(), "key 0 stayed the LRU victim");
-        assert!(cache.lookup(16).is_some());
+        assert!(
+            cache.lookup_outcome(0).is_none(),
+            "key 0 stayed the LRU victim"
+        );
+        assert!(cache.lookup_outcome(16).is_some());
     }
 
     #[test]
@@ -689,6 +669,6 @@ mod tests {
         cache.insert(9, entry(50, 2));
         assert_eq!(cache.stats().resident_bytes, before);
         assert_eq!(cache.stats().entries, 1);
-        assert_eq!(cache.lookup(9).map(|e| e.cost_raw), Some(2));
+        assert_eq!(solved(&cache, 9).map(|e| e.cost_raw), Some(2));
     }
 }

@@ -10,6 +10,15 @@
 //! which at component-solve granularity (microseconds to milliseconds
 //! per task) costs noise compared to the solve itself.
 //!
+//! # Who uses it
+//!
+//! `Mc3Solver` builds one component dispatch plan per solve and, under
+//! `parallel(true)`, spawns one task per leader group here; a sequential
+//! solve runs the same plan inline and never touches the pool, which
+//! therefore starts only with the first parallel solve. The pool's size
+//! is a process setting with one entry point, [`configure_threads`],
+//! called by `mc3 solve --threads` and `mc3 serve --solve-threads`.
+//!
 //! # Scoped submission
 //!
 //! [`scope`] is the only way to run tasks: it hands out a [`Scope`]

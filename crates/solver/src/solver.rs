@@ -95,18 +95,15 @@ pub struct SolverConfig {
     pub wsc_strategy: WscStrategy,
     /// Size thresholds for the simplex-based LP rounding path.
     pub lp_limits: LpLimits,
-    /// Solve property-connected components on multiple threads
-    /// (Observation 3.2: sub-instances are independent). Parallel solves
-    /// run on the process-wide [`executor`](crate::executor) — one fixed
-    /// worker set shared by every solve in the process, not a fresh
-    /// thread set per call.
+    /// Run the property-connected components (Observation 3.2:
+    /// sub-instances are independent) as tasks on the process-wide
+    /// [`executor`](crate::executor) instead of inline on the calling
+    /// thread. Both modes run the same dispatch plan and produce the
+    /// same solution and counters; a sequential solve never touches the
+    /// executor. The executor's size is a process setting, made once
+    /// through
+    /// [`executor::configure_threads`](crate::executor::configure_threads).
     pub parallel: bool,
-    /// Requested worker count for the shared executor (`None` = number
-    /// of cores). The executor is sized once, on the first parallel
-    /// solve in the process; see [`executor::configure_threads`]
-    /// (crate::executor::configure_threads). Excluded from the cache
-    /// configuration digest: thread count never changes results.
-    pub threads: Option<usize>,
     /// Consider only classifiers of length ≤ `k'` (§5.3, bounded
     /// classifiers); `None` = the full universe.
     pub max_classifier_len: Option<usize>,
@@ -139,7 +136,6 @@ impl Default for SolverConfig {
             wsc_strategy: WscStrategy::Combined,
             lp_limits: LpLimits::default(),
             parallel: false,
-            threads: None,
             max_classifier_len: None,
             refine_wsc: true,
             flow_algorithm: mc3_flow::FlowAlgorithm::Dinic,
@@ -262,17 +258,10 @@ impl Mc3Solver {
         self
     }
 
-    /// Enables multi-threaded per-component solving.
+    /// Runs the per-component solves on the shared executor
+    /// ([`SolverConfig::parallel`]).
     pub fn parallel(mut self, on: bool) -> Self {
         self.config.parallel = on;
-        self
-    }
-
-    /// Requests `n` workers for the shared solve executor (0 = number of
-    /// cores). Effective only before the executor's first use — the pool
-    /// is process-wide and sized exactly once.
-    pub fn threads(mut self, n: usize) -> Self {
-        self.config.threads = if n == 0 { None } else { Some(n) };
         self
     }
 
@@ -443,10 +432,9 @@ impl Mc3Solver {
             None
         };
 
-        // The core dispatch, shared by both execution modes. Reductions
-        // across components reuse one ReductionScratch per worker (or one
-        // for the sequential loop) instead of reallocating both CSR
-        // directions per component.
+        // The core dispatch. Reductions across components reuse one
+        // ReductionScratch per executor worker (or one for the inline
+        // loop) instead of reallocating both CSR directions per component.
         let run_core = |comp: &[usize],
                         scratch: &mut crate::reduction::ReductionScratch|
          -> Result<Vec<ClassifierId>> {
@@ -466,132 +454,104 @@ impl Mc3Solver {
             }
         };
 
-        if self.config.parallel && comps.len() > 1 {
-            // Sizing request for the shared pool; once the pool exists the
-            // running size wins by design, so the return value carries no
-            // action for a solve.
-            if let Some(n) = self.config.threads {
-                crate::executor::configure_threads(n);
-            }
-
-            // Cache-aware dispatch plan. Fingerprint every component up
-            // front (workers reuse the canonicalizations), then:
-            //  - duplicate fingerprints within this request collapse onto
-            //    one leader — followers re-consult the cache *after* their
-            //    leader solved and inserted, so each shape is solved once
-            //    and fanned out through the verified remap;
-            //  - leaders already present in the cache ("hot") dispatch
-            //    first, in component order: they are near-certain cheap
-            //    remaps and drain quickly;
-            //  - cold leaders and unfingerprintable components run
-            //    largest-first so the expensive solves start immediately
-            //    while small ones backfill idle workers.
-            // Without a cache every component is its own cold leader, so
-            // the plan degenerates to plain largest-first and the solved
-            // sets are identical to the sequential loop's.
-            let canonicals: Vec<Option<mc3_core::canon::Canonical>> = match &cache_ctx {
-                Some(ctx) => comps
-                    .iter()
-                    .map(|c| crate::cache::component_canonical(&ws, c, ctx.kp))
-                    .collect(),
-                None => comps.iter().map(|_| None).collect(),
-            };
-            let mut followers: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
-            let mut hot: Vec<usize> = Vec::new();
-            let mut cold: Vec<usize> = Vec::new();
-            {
-                let mut leader_of: mc3_core::FxHashMap<u128, usize> =
-                    mc3_core::FxHashMap::default();
-                for i in 0..comps.len() {
-                    let key = match (&cache_ctx, &canonicals[i]) {
-                        (Some(ctx), Some(c)) => Some(crate::cache::component_key(c, ctx.digest)),
-                        _ => None,
-                    };
-                    let Some(key) = key else {
-                        cold.push(i);
-                        continue;
-                    };
-                    match leader_of.entry(key) {
-                        std::collections::hash_map::Entry::Occupied(leader) => {
-                            followers[*leader.get()].push(i);
-                        }
-                        std::collections::hash_map::Entry::Vacant(slot) => {
-                            slot.insert(i);
-                            let likely_hit = cache_ctx
-                                .as_ref()
-                                .is_some_and(|ctx| ctx.cache.contains(key));
-                            if likely_hit {
-                                hot.push(i);
-                            } else {
-                                cold.push(i);
-                            }
+        // The dispatch plan, one for both execution modes. Fingerprint
+        // every component up front (the group tasks reuse the
+        // canonicalizations), then:
+        //  - duplicate fingerprints within this request collapse onto one
+        //    leader — followers consult the cache *after* their leader
+        //    solved and inserted, so each shape is solved once and fanned
+        //    out through the verified remap;
+        //  - leaders already present in the cache ("hot") run first, in
+        //    component order: they are near-certain cheap remaps;
+        //  - cold leaders and unfingerprintable components run
+        //    largest-first so the expensive solves start immediately
+        //    while small ones backfill idle workers.
+        // Without a cache every component is its own cold leader.
+        let canonicals: Vec<Option<mc3_core::canon::Canonical>> = comps
+            .iter()
+            .map(|c| {
+                cache_ctx
+                    .as_ref()
+                    .and_then(|ctx| crate::cache::component_canonical(&ws, c, ctx.kp))
+            })
+            .collect();
+        let mut followers: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
+        let mut hot: Vec<usize> = Vec::new();
+        let mut cold: Vec<usize> = Vec::with_capacity(comps.len());
+        {
+            let mut leader_of: mc3_core::FxHashMap<u128, usize> = mc3_core::FxHashMap::default();
+            for (i, canonical) in canonicals.iter().enumerate() {
+                let (Some(ctx), Some(canonical)) = (&cache_ctx, canonical) else {
+                    cold.push(i);
+                    continue;
+                };
+                let key = crate::cache::component_key(canonical, ctx.digest);
+                match leader_of.entry(key) {
+                    std::collections::hash_map::Entry::Occupied(leader) => {
+                        followers[*leader.get()].push(i);
+                    }
+                    std::collections::hash_map::Entry::Vacant(slot) => {
+                        slot.insert(i);
+                        if ctx.cache.contains(key) {
+                            hot.push(i);
+                        } else {
+                            cold.push(i);
                         }
                     }
                 }
             }
-            // Descending size, index-stable: deterministic dispatch order.
-            cold.sort_by_key(|&i| (usize::MAX - comps[i].len(), i));
+        }
+        // Descending size, index-stable: deterministic dispatch order.
+        cold.sort_by_key(|&i| (usize::MAX - comps[i].len(), i));
 
-            let results: Vec<std::sync::Mutex<Option<Result<Vec<ClassifierId>>>>> =
-                comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-            {
-                let comps = &comps;
-                let canonicals = &canonicals;
-                let followers = &followers;
-                let cache_ctx = &cache_ctx;
-                let run_core = &run_core;
-                let results = &results;
-                let ws = &ws;
-                // executor::scope waits for every spawned task and re-raises
-                // the first worker panic, so no join-error plumbing is
-                // needed — same contract the std::thread::scope version had.
-                crate::executor::scope(|scope| {
-                    for &i in hot.iter().chain(cold.iter()) {
-                        scope.spawn(move || {
-                            SCRATCH.with(|cell| {
-                                let mut scratch = cell.borrow_mut();
-                                let mut solve_one = |i: usize| {
-                                    let comp: &[usize] = &comps[i];
-                                    let r = match (cache_ctx, &canonicals[i]) {
-                                        (Some(ctx), Some(canonical)) => ctx
-                                            .solve_component_canonical(ws, comp, canonical, || {
-                                                run_core(comp, &mut scratch)
-                                            }),
-                                        _ => run_core(comp, &mut scratch),
-                                    };
-                                    if let Ok(mut slot) = results[i].lock() {
-                                        *slot = Some(r);
-                                    }
-                                };
-                                solve_one(i);
-                                for &f in &followers[i] {
-                                    solve_one(f);
-                                }
-                            });
-                        });
+        // The group task: a leader, then its followers, each writing its
+        // own result slot.
+        let results: Vec<std::sync::Mutex<Option<Result<Vec<ClassifierId>>>>> =
+            comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
+        let solve_group = |leader: usize, scratch: &mut crate::reduction::ReductionScratch| {
+            for &i in std::iter::once(&leader).chain(&followers[leader]) {
+                let comp: &[usize] = &comps[i];
+                let r = match (&cache_ctx, &canonicals[i]) {
+                    (Some(ctx), Some(canonical)) => {
+                        ctx.solve_component(&ws, comp, canonical, || run_core(comp, &mut *scratch))
                     }
-                });
-            }
-            for cell in results {
-                let r = cell
-                    .into_inner()
-                    .map_err(|_| {
-                        mc3_core::Mc3Error::Internal("component worker poisoned its result".into())
-                    })?
-                    .ok_or_else(|| {
-                        mc3_core::Mc3Error::Internal("component result missing".into())
-                    })?;
-                picked.extend(r?);
-            }
-        } else {
-            let mut scratch = crate::reduction::ReductionScratch::new();
-            for comp in &comps {
-                let r = match &cache_ctx {
-                    Some(ctx) => ctx.solve_component(&ws, comp, || run_core(comp, &mut scratch)),
-                    None => run_core(comp, &mut scratch),
+                    _ => run_core(comp, &mut *scratch),
                 };
-                picked.extend(r?);
+                if let Ok(mut slot) = results[i].lock() {
+                    *slot = Some(r);
+                }
             }
+        };
+        let order = hot.iter().chain(&cold).copied();
+        if self.config.parallel && comps.len() > 1 {
+            // executor::scope waits for every spawned task and re-raises
+            // the first worker panic, so no join-error plumbing is needed.
+            let solve_group = &solve_group;
+            crate::executor::scope(|scope| {
+                for leader in order {
+                    scope.spawn(move || {
+                        SCRATCH.with(|cell| solve_group(leader, &mut cell.borrow_mut()));
+                    });
+                }
+            });
+        } else {
+            // Inline: same plan, same order, on this thread — the shared
+            // executor is never touched.
+            let mut scratch = crate::reduction::ReductionScratch::new();
+            for leader in order {
+                solve_group(leader, &mut scratch);
+            }
+        }
+        // Gathered in component order, so the reported error is the
+        // lowest-index component's in both modes.
+        for cell in results {
+            let r = cell
+                .into_inner()
+                .map_err(|_| {
+                    mc3_core::Mc3Error::Internal("component task poisoned its result".into())
+                })?
+                .ok_or_else(|| mc3_core::Mc3Error::Internal("component result missing".into()))?;
+            picked.extend(r?);
         }
 
         picked.extend(ws.selected_ids().iter().copied());

@@ -9,11 +9,16 @@
 //! * **cache-aware scheduling is cost-transparent** — with a shared
 //!   `SolveCache` (hot-first dispatch + intra-request dedup active),
 //!   parallel re-solves reproduce the sequential cost with a verifying
-//!   cover;
+//!   cover, and on replicated shapes (intra-request followers) the
+//!   inline and executor runs of the one dispatch plan select the same
+//!   classifiers with the same cache hits, misses and insertions;
 //! * **steal-heavy stress** — an instance with hundreds of tiny
 //!   components drives the injector's batch-grab path; steals and tasks
 //!   must be observable and, once warm, solving must not spawn threads.
 
+mod common;
+
+use common::replicated_instance;
 use mc3_core::rng::prelude::*;
 use mc3_core::{Instance, Weights};
 use mc3_solver::{executor, Algorithm, Mc3Solver, SolveCache};
@@ -86,6 +91,33 @@ fn cache_aware_scheduling_preserves_sequential_cost() {
             cache.stats().hits > 0,
             "seed {seed}: warm re-solve must take the hot path"
         );
+    }
+
+    // Intra-request followers: replicated shapes collapse onto one
+    // leader per shape. The inline and executor runs of the one plan
+    // must select the same classifiers and consult the cache alike.
+    for seed in 0..40 {
+        let instance = replicated_instance(seed, 4);
+        let run = |parallel: bool| {
+            let cache = Arc::new(SolveCache::with_capacity_mb(8));
+            let sol = Mc3Solver::new()
+                .without_preprocessing()
+                .parallel(parallel)
+                .cache(Arc::clone(&cache))
+                .solve(&instance)
+                .expect("cached solve");
+            sol.verify(&instance).expect("cached cover");
+            let s = cache.stats();
+            (sol.classifiers().to_vec(), (s.hits, s.misses, s.insertions))
+        };
+        let (seq, seq_stats) = run(false);
+        let (par, par_stats) = run(true);
+        assert_eq!(seq, par, "seed {seed}: inline and executor plans diverged");
+        assert_eq!(
+            seq_stats, par_stats,
+            "seed {seed}: (hits, misses, insertions) diverged"
+        );
+        assert!(seq_stats.0 > 0, "seed {seed}: followers must hit");
     }
 }
 
