@@ -111,9 +111,6 @@ pub enum Command {
         algorithm: Option<Algorithm>,
         /// Skip the exact per-span allocation-count checks.
         no_mem: bool,
-        /// Thread a shared solve cache through the run. Off by default so
-        /// gated counters and allocation profiles stay deterministic.
-        cache: bool,
     },
     /// `mc3 verify DATASET SOLUTION`
     Verify {
@@ -148,16 +145,14 @@ pub enum Command {
         dataset: String,
     },
     /// `mc3 serve [--addr HOST:PORT] [--workers N] [--cache-mb MB]
-    /// [--no-cache] [--solve-threads N]`
+    /// [--solve-threads N]`
     Serve {
         /// Listen address.
         addr: String,
         /// Worker threads (0 = one per available core).
         workers: usize,
-        /// Solve-cache budget in MiB (0 disables caching).
+        /// Solve-cache budget in MiB (0 disables both caches).
         cache_mb: usize,
-        /// Disable the solve and request caches.
-        no_cache: bool,
         /// Shared solve-executor size (0 = one per available core).
         solve_threads: usize,
     },
@@ -200,13 +195,13 @@ USAGE:
               [--chrome <FILE>] [--prom <FILE>] [--mem]
   mc3 bench-gate --baseline <FILE> [--candidate <FILE>] [--update]
                  [--wall-tol <X>] [--counter-tol <X>] [--no-mem] [--kind <K>]
-                 [--queries <N>] [--seed <S>] [--algorithm <A>] [--cache]
+                 [--queries <N>] [--seed <S>] [--algorithm <A>]
   mc3 verify <DATASET.json> <SOLUTION.json>
   mc3 audit <DATASET.json> <SOLUTION.json>
   mc3 parse <QUERIES.txt> [--uniform-cost <N> | --cost-range <LO..HI> [--seed <S>]]
             --out <FILE|->
   mc3 compare <DATASET.json>
-  mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--cache-mb <MB>] [--no-cache]
+  mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--cache-mb <MB>]
             [--solve-threads <N>]
   mc3 loadgen [--addr <HOST:PORT>] [--duration <SECS>] [--concurrency <N>]
               [--mix <kind:queries:seed[:algo][xW],...>] [--slo p99=<MS>]
@@ -244,6 +239,17 @@ impl ArgStream {
             .map(str::to_owned)
             .ok_or_else(|| format!("flag {flag} requires a value"))
     }
+
+    /// The value after `flag`, parsed as `T`; a bad value is reported as
+    /// `"{flag}: {error}"`.
+    fn parsed<T: std::str::FromStr>(&mut self, flag: &str) -> Result<T, String>
+    where
+        T::Err: std::fmt::Display,
+    {
+        self.value_of(flag)?
+            .parse()
+            .map_err(|e| format!("{flag}: {e}"))
+    }
 }
 
 impl Cli {
@@ -272,19 +278,8 @@ impl Cli {
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--kind" => kind = Some(GeneratorKind::parse(&s.value_of("--kind")?)?),
-                        "--queries" => {
-                            queries = Some(
-                                s.value_of("--queries")?
-                                    .parse()
-                                    .map_err(|e| format!("--queries: {e}"))?,
-                            )
-                        }
-                        "--seed" => {
-                            seed = s
-                                .value_of("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?
-                        }
+                        "--queries" => queries = Some(s.parsed("--queries")?),
+                        "--seed" => seed = s.parsed("--seed")?,
                         "--out" => out = Some(s.value_of("--out")?),
                         other => return Err(format!("unknown flag '{other}' for generate")),
                     }
@@ -316,18 +311,9 @@ impl Cli {
                         "--no-preprocess" => no_preprocess = true,
                         "--no-refine" => no_refine = true,
                         "--parallel" => parallel = true,
-                        "--threads" => {
-                            threads = s
-                                .value_of("--threads")?
-                                .parse()
-                                .map_err(|e| format!("--threads: {e}"))?
-                        }
+                        "--threads" => threads = s.parsed("--threads")?,
                         "--max-classifier-len" => {
-                            max_classifier_len = Some(
-                                s.value_of("--max-classifier-len")?
-                                    .parse()
-                                    .map_err(|e| format!("--max-classifier-len: {e}"))?,
-                            )
+                            max_classifier_len = Some(s.parsed("--max-classifier-len")?)
                         }
                         "--out" => out = Some(s.value_of("--out")?),
                         "--trace" => trace = Some(None),
@@ -366,29 +352,14 @@ impl Cli {
                 while let Some(arg) = s.next().map(str::to_owned) {
                     match arg.as_str() {
                         "--kind" => kind = GeneratorKind::parse(&s.value_of("--kind")?)?,
-                        "--queries" => {
-                            queries = s
-                                .value_of("--queries")?
-                                .parse()
-                                .map_err(|e| format!("--queries: {e}"))?
-                        }
-                        "--seed" => {
-                            seed = s
-                                .value_of("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?
-                        }
+                        "--queries" => queries = s.parsed("--queries")?,
+                        "--seed" => seed = s.parsed("--seed")?,
                         "--algorithm" => algorithm = parse_algorithm(&s.value_of("--algorithm")?)?,
                         "--parallel" => parallel = true,
                         "--json" => json = Some(s.value_of("--json")?),
                         "--chrome" => chrome = Some(s.value_of("--chrome")?),
                         "--prom" => prom = Some(s.value_of("--prom")?),
-                        "--top" => {
-                            top = s
-                                .value_of("--top")?
-                                .parse()
-                                .map_err(|e| format!("--top: {e}"))?
-                        }
+                        "--top" => top = s.parsed("--top")?,
                         "--mem" => mem = true,
                         other if !other.starts_with("--") && dataset.is_none() => {
                             dataset = Some(other.to_owned())
@@ -421,43 +392,17 @@ impl Cli {
                 let mut seed = None;
                 let mut algorithm = None;
                 let mut no_mem = false;
-                let mut cache = false;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--baseline" => baseline = Some(s.value_of("--baseline")?),
                         "--candidate" => candidate = Some(s.value_of("--candidate")?),
                         "--update" => update = true,
                         "--no-mem" => no_mem = true,
-                        "--cache" => cache = true,
-                        "--wall-tol" => {
-                            wall_tol = Some(
-                                s.value_of("--wall-tol")?
-                                    .parse()
-                                    .map_err(|e| format!("--wall-tol: {e}"))?,
-                            )
-                        }
-                        "--counter-tol" => {
-                            counter_tol = Some(
-                                s.value_of("--counter-tol")?
-                                    .parse()
-                                    .map_err(|e| format!("--counter-tol: {e}"))?,
-                            )
-                        }
+                        "--wall-tol" => wall_tol = Some(s.parsed("--wall-tol")?),
+                        "--counter-tol" => counter_tol = Some(s.parsed("--counter-tol")?),
                         "--kind" => kind = Some(GeneratorKind::parse(&s.value_of("--kind")?)?),
-                        "--queries" => {
-                            queries = Some(
-                                s.value_of("--queries")?
-                                    .parse()
-                                    .map_err(|e| format!("--queries: {e}"))?,
-                            )
-                        }
-                        "--seed" => {
-                            seed = Some(
-                                s.value_of("--seed")?
-                                    .parse()
-                                    .map_err(|e| format!("--seed: {e}"))?,
-                            )
-                        }
+                        "--queries" => queries = Some(s.parsed("--queries")?),
+                        "--seed" => seed = Some(s.parsed("--seed")?),
                         "--algorithm" => {
                             algorithm = Some(parse_algorithm(&s.value_of("--algorithm")?)?)
                         }
@@ -478,7 +423,6 @@ impl Cli {
                     seed,
                     algorithm,
                     no_mem,
-                    cache,
                 }
             }
             "verify" => {
@@ -502,13 +446,7 @@ impl Cli {
                 let mut out = None;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
-                        "--uniform-cost" => {
-                            uniform_cost = Some(
-                                s.value_of("--uniform-cost")?
-                                    .parse()
-                                    .map_err(|e| format!("--uniform-cost: {e}"))?,
-                            )
-                        }
+                        "--uniform-cost" => uniform_cost = Some(s.parsed("--uniform-cost")?),
                         "--cost-range" => {
                             let v = s.value_of("--cost-range")?;
                             let (lo, hi) = v
@@ -519,12 +457,7 @@ impl Cli {
                                 hi.parse().map_err(|e| format!("--cost-range hi: {e}"))?,
                             ));
                         }
-                        "--seed" => {
-                            seed = s
-                                .value_of("--seed")?
-                                .parse()
-                                .map_err(|e| format!("--seed: {e}"))?
-                        }
+                        "--seed" => seed = s.parsed("--seed")?,
                         "--out" => out = Some(s.value_of("--out")?),
                         other => return Err(format!("unknown flag '{other}' for parse")),
                     }
@@ -550,30 +483,13 @@ impl Cli {
                 let mut addr = "127.0.0.1:7920".to_owned();
                 let mut workers = 0usize;
                 let mut cache_mb = 64usize;
-                let mut no_cache = false;
                 let mut solve_threads = 0usize;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--addr" => addr = s.value_of("--addr")?,
-                        "--workers" => {
-                            workers = s
-                                .value_of("--workers")?
-                                .parse()
-                                .map_err(|e| format!("--workers: {e}"))?
-                        }
-                        "--cache-mb" => {
-                            cache_mb = s
-                                .value_of("--cache-mb")?
-                                .parse()
-                                .map_err(|e| format!("--cache-mb: {e}"))?
-                        }
-                        "--no-cache" => no_cache = true,
-                        "--solve-threads" => {
-                            solve_threads = s
-                                .value_of("--solve-threads")?
-                                .parse()
-                                .map_err(|e| format!("--solve-threads: {e}"))?
-                        }
+                        "--workers" => workers = s.parsed("--workers")?,
+                        "--cache-mb" => cache_mb = s.parsed("--cache-mb")?,
+                        "--solve-threads" => solve_threads = s.parsed("--solve-threads")?,
                         other => return Err(format!("unknown flag '{other}' for serve")),
                     }
                 }
@@ -581,7 +497,6 @@ impl Cli {
                     addr,
                     workers,
                     cache_mb,
-                    no_cache,
                     solve_threads,
                 }
             }
@@ -600,19 +515,9 @@ impl Cli {
                             let v = v.strip_suffix('s').unwrap_or(&v);
                             duration_secs = v.parse().map_err(|e| format!("--duration: {e}"))?
                         }
-                        "--concurrency" => {
-                            concurrency = s
-                                .value_of("--concurrency")?
-                                .parse()
-                                .map_err(|e| format!("--concurrency: {e}"))?
-                        }
+                        "--concurrency" => concurrency = s.parsed("--concurrency")?,
                         "--mix" => mix = Some(s.value_of("--mix")?),
-                        "--batch" => {
-                            batch = s
-                                .value_of("--batch")?
-                                .parse()
-                                .map_err(|e| format!("--batch: {e}"))?
-                        }
+                        "--batch" => batch = s.parsed("--batch")?,
                         "--slo" => {
                             let v = s.value_of("--slo")?;
                             let ms = v
@@ -869,7 +774,6 @@ mod tests {
                 wall_tol,
                 counter_tol,
                 no_mem,
-                cache,
                 ..
             } => {
                 assert_eq!(baseline, "BENCH_baseline.json");
@@ -878,7 +782,6 @@ mod tests {
                 assert_eq!(wall_tol, Some(2.5));
                 assert_eq!(counter_tol, Some(0.1));
                 assert!(!no_mem);
-                assert!(!cache, "caching must be opt-in for the bench gate");
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -896,7 +799,6 @@ mod tests {
             "--algorithm",
             "auto",
             "--no-mem",
-            "--cache",
         ])
         .unwrap();
         match cli.command {
@@ -907,7 +809,6 @@ mod tests {
                 seed,
                 algorithm,
                 no_mem,
-                cache,
                 ..
             } => {
                 assert!(update);
@@ -916,7 +817,6 @@ mod tests {
                 assert_eq!(seed, Some(11));
                 assert_eq!(algorithm, Some(Algorithm::Auto));
                 assert!(no_mem);
-                assert!(cache);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -968,13 +868,11 @@ mod tests {
                 addr,
                 workers,
                 cache_mb,
-                no_cache,
                 solve_threads,
             } => {
                 assert_eq!(addr, "127.0.0.1:7920");
                 assert_eq!(workers, 0);
                 assert_eq!(cache_mb, 64);
-                assert!(!no_cache);
                 assert_eq!(solve_threads, 0);
             }
             other => panic!("wrong command: {other:?}"),
@@ -987,7 +885,6 @@ mod tests {
             "6",
             "--cache-mb",
             "128",
-            "--no-cache",
             "--solve-threads",
             "5",
         ])
@@ -997,13 +894,11 @@ mod tests {
                 addr,
                 workers,
                 cache_mb,
-                no_cache,
                 solve_threads,
             } => {
                 assert_eq!(addr, "0.0.0.0:8080");
                 assert_eq!(workers, 6);
                 assert_eq!(cache_mb, 128);
-                assert!(no_cache);
                 assert_eq!(solve_threads, 5);
             }
             other => panic!("wrong command: {other:?}"),
@@ -1065,6 +960,9 @@ mod tests {
         assert!(Cli::parse(["loadgen", "--batch", "nope"]).is_err());
         assert!(Cli::parse(["loadgen", "--concurrency", "0"]).is_err());
         assert!(Cli::parse(["serve", "--frob"]).is_err());
+        // `--cache-mb 0` is the one way to turn caching off.
+        assert!(Cli::parse(["serve", "--no-cache"]).is_err());
+        assert!(Cli::parse(["bench-gate", "--baseline", "b.json", "--cache"]).is_err());
     }
 
     #[test]

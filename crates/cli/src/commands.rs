@@ -80,7 +80,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             seed,
             algorithm,
             no_mem,
-            cache,
         } => bench_gate(
             baseline,
             candidate.as_deref(),
@@ -92,7 +91,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             *seed,
             *algorithm,
             *no_mem,
-            *cache,
         ),
         Command::Verify { dataset, solution } => verify(dataset, solution),
         Command::Audit { dataset, solution } => audit(dataset, solution),
@@ -108,14 +106,12 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             addr,
             workers,
             cache_mb,
-            no_cache,
             solve_threads,
         } => {
             let cfg = mc3_server::ServerConfig {
                 addr: addr.clone(),
                 workers: *workers,
                 cache_mb: *cache_mb,
-                no_cache: *no_cache,
                 solve_threads: *solve_threads,
             };
             let server = mc3_server::Server::start(&cfg)?;
@@ -377,24 +373,18 @@ fn profile(
 }
 
 /// Runs the deterministic workload a baseline pins and returns the
-/// telemetry report the solve produced. The solve cache is off unless
-/// `--cache` asks for it: memoization skips whole component solves, so a
-/// warm cache would make gated counters depend on request history.
+/// telemetry report the solve produced. The solve cache stays off:
+/// memoization skips whole component solves, so a warm cache would make
+/// gated counters depend on request history.
 fn run_workload_spec(
     spec: &mc3_obs::WorkloadSpec,
-    cache: bool,
 ) -> Result<mc3_telemetry::TelemetryReport, String> {
     let kind = GeneratorKind::parse(&spec.kind)?;
     let algorithm = crate::args::parse_algorithm(&spec.algorithm)?;
     let ds = generate_dataset(kind, spec.queries as usize, spec.seed);
     let session = mc3_telemetry::Session::begin();
-    let mut solver = Mc3Solver::new().algorithm(algorithm);
-    if cache {
-        solver = solver.cache(std::sync::Arc::new(
-            mc3_solver::SolveCache::with_capacity_mb(64),
-        ));
-    }
-    solver
+    Mc3Solver::new()
+        .algorithm(algorithm)
         .solve_report(&ds.instance)
         .map_err(|e| format!("solve failed: {e}"))?;
     Ok(session.finish())
@@ -414,7 +404,6 @@ fn bench_gate(
     seed: Option<u64>,
     algorithm: Option<mc3_solver::Algorithm>,
     no_mem: bool,
-    cache: bool,
 ) -> Result<String, String> {
     let baseline_text = match std::fs::read_to_string(baseline_path) {
         Ok(text) => Some(text),
@@ -455,7 +444,7 @@ fn bench_gate(
                     crate::args::algorithm_name(mc3_solver::Algorithm::ShortFirst).to_owned()
                 }),
         };
-        let report = run_workload_spec(&spec, cache)?;
+        let report = run_workload_spec(&spec)?;
         let file = mc3_obs::BaselineFile { spec, report };
         std::fs::write(baseline_path, file.to_json().to_string_pretty())
             .map_err(|e| format!("cannot write {baseline_path}: {e}"))?;
@@ -483,7 +472,7 @@ fn bench_gate(
             mc3_telemetry::TelemetryReport::from_json(&json)
                 .map_err(|e| format!("invalid candidate report {path}: {e}"))?
         }
-        None => run_workload_spec(&baseline.spec, cache)?,
+        None => run_workload_spec(&baseline.spec)?,
     };
     let mut cfg = mc3_obs::GateConfig::default();
     if let Some(t) = wall_tol {

@@ -129,6 +129,18 @@ impl StableHasher {
         }
     }
 
+    /// Mixes a byte string: its length, then its bytes as little-endian
+    /// words, the last one zero-padded. The length prefix keeps
+    /// consecutive strings from aliasing (`"ab", "c"` vs `"a", "bc"`).
+    pub fn write_bytes(&mut self, bytes: &[u8]) {
+        self.write_u64(bytes.len() as u64);
+        for chunk in bytes.chunks(8) {
+            let mut word = [0u8; 8];
+            word[..chunk.len()].copy_from_slice(chunk);
+            self.write_u64(u64::from_le_bytes(word));
+        }
+    }
+
     /// Finalizes into a 128-bit digest, consuming the hasher.
     pub fn finish128(mut self) -> u128 {
         let count = self.words;
@@ -613,6 +625,36 @@ mod tests {
     use super::*;
     use crate::rng::{SliceRandom, StdRng};
     use crate::{Instance, PropSet, WeightsBuilder};
+
+    #[test]
+    fn write_bytes_matches_the_word_loop() {
+        // The loop both cache keys used before `write_bytes` existed.
+        fn reference(h: &mut StableHasher, bytes: &[u8]) {
+            h.write_u64(bytes.len() as u64);
+            let mut i = 0;
+            while i < bytes.len() {
+                let mut w = 0u64;
+                for (shift, &b) in bytes[i..(i + 8).min(bytes.len())].iter().enumerate() {
+                    w |= u64::from(b) << (8 * shift);
+                }
+                h.write_u64(w);
+                i += 8;
+            }
+        }
+        let data: Vec<u8> = (0u8..65).map(|b| b.wrapping_mul(37) ^ 0xa5).collect();
+        for len in [0, 1, 7, 8, 9, 65] {
+            let (mut a, mut b) = (StableHasher::new(), StableHasher::new());
+            a.write_bytes(&data[..len]);
+            reference(&mut b, &data[..len]);
+            assert_eq!(a.finish128(), b.finish128(), "len {len}");
+        }
+        let (mut a, mut b) = (StableHasher::new(), StableHasher::new());
+        a.write_bytes(b"ab");
+        a.write_bytes(b"c");
+        b.write_bytes(b"a");
+        b.write_bytes(b"bc");
+        assert_ne!(a.finish128(), b.finish128());
+    }
 
     #[test]
     fn stable_hasher_is_deterministic_and_sensitive() {

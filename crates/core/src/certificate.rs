@@ -189,13 +189,14 @@ impl Certificate {
     ) -> Result<Certificate, CertificateError> {
         let classifiers = solution.classifiers();
         let mut witnesses = Vec::with_capacity(instance.num_queries());
-        for (qi, q) in instance.queries().iter().enumerate() {
-            let w = cover::covering_subset(q, classifiers)
-                .ok_or(CertificateError::Uncovered { query_index: qi })?;
+        let uncovered = cover::cover_pass(instance, classifiers, |qi, w| {
             witnesses.push(CoverWitness {
                 query_index: qi,
-                classifier_indices: w,
+                classifier_indices: w.to_vec(),
             });
+        });
+        if let Some(query_index) = uncovered {
+            return Err(CertificateError::Uncovered { query_index });
         }
         let recomputed: Weight = classifiers.iter().map(|c| instance.weight(c)).sum();
         if recomputed != solution.cost() {

@@ -77,7 +77,7 @@ pub mod weights;
 pub use canon::{canonicalize, canonicalize_instance, stable_hash128, Canonical, StableHasher};
 pub use cast::{i64_of, u16_of, u32_of, u8_of};
 pub use certificate::{Certificate, CoverWitness};
-pub use cover::{covered, covering_subset, is_cover};
+pub use cover::is_cover;
 pub use error::{Mc3Error, Result};
 pub use fxhash::{FxHashMap, FxHashSet};
 pub use instance::Instance;

@@ -6,8 +6,9 @@
 //! the deterministic [`mc3_core::rng::StdRng`] and asserts the invariant on
 //! every one. Failures print the seed so a case can be replayed.
 
+use mc3_core::cover::cover_pass;
 use mc3_core::rng::prelude::*;
-use mc3_core::{covered, covering_subset, Instance, PropId, PropSet, Weight, Weights};
+use mc3_core::{is_cover, Instance, PropId, PropSet, Weight, Weights};
 use std::collections::BTreeSet;
 
 const CASES: u64 = 300;
@@ -144,7 +145,7 @@ fn cover_is_monotone() {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut query = rand_ids(&mut rng, 8, 5);
         query.push(rng.gen_range(0..8));
-        let q = PropSet::from_ids(query);
+        let instance = Instance::new(vec![query], Weights::uniform(1u64)).unwrap();
         let n = rng.gen_range(0..6);
         let mut cs: Vec<PropSet> = (0..n)
             .map(|_| {
@@ -153,22 +154,26 @@ fn cover_is_monotone() {
                 PropSet::from_ids(ids)
             })
             .collect();
-        let before = covered(&q, &cs);
+        let before = is_cover(&instance, &cs);
         let mut extra = rand_ids(&mut rng, 8, 3);
         extra.push(rng.gen_range(0..8));
         cs.push(PropSet::from_ids(extra));
         // adding classifiers can only help
-        assert!(!before || covered(&q, &cs), "monotone cover, seed {seed}");
+        assert!(
+            !before || is_cover(&instance, &cs),
+            "monotone cover, seed {seed}"
+        );
     }
 }
 
 #[test]
-fn covering_subset_witness_is_sound() {
+fn cover_pass_witness_is_sound() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let mut query = rand_ids(&mut rng, 8, 5);
         query.push(rng.gen_range(0..8));
-        let q = PropSet::from_ids(query);
+        let q = PropSet::from_ids(query.iter().copied());
+        let instance = Instance::new(vec![query], Weights::uniform(1u64)).unwrap();
         let n = rng.gen_range(0..8);
         let cs: Vec<PropSet> = (0..n)
             .map(|_| {
@@ -177,14 +182,14 @@ fn covering_subset_witness_is_sound() {
                 PropSet::from_ids(ids)
             })
             .collect();
-        if let Some(witness) = covering_subset(&q, &cs) {
+        cover_pass(&instance, &cs, |_, witness| {
             let mut union = PropSet::empty();
-            for &i in &witness {
+            for &i in witness {
                 assert!(cs[i].is_subset_of(&q), "witness member ⊆ q, seed {seed}");
                 union = union.union(&cs[i]);
             }
             assert_eq!(union, q, "witness union = q, seed {seed}");
-        }
+        });
     }
 }
 

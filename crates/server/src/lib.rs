@@ -16,8 +16,8 @@
 //!   [`mc3_telemetry::ScopedSession`] span tree. Repeated work is
 //!   memoized across requests: a canonical-fingerprint component cache
 //!   ([`mc3_solver::SolveCache`]) plus an exact-body response cache,
-//!   both sized by [`ServerConfig::cache_mb`] and disabled by
-//!   [`ServerConfig::no_cache`].
+//!   both sized by [`ServerConfig::cache_mb`], and both off when it
+//!   is `0`.
 //! * [`loadgen`] — `mc3 loadgen`: drives a server with a deterministic
 //!   [`mc3_workload::RequestMix`], reports per-route p50/p95/p99, and
 //!   exits non-zero when the `/solve` p99 SLO is violated (the CI smoke
@@ -44,11 +44,8 @@ pub struct ServerConfig {
     pub workers: usize,
     /// Byte budget (MiB) for the cross-request solve cache; the
     /// exact-body request cache gets a quarter of it on top. `0`
-    /// disables both, same as `no_cache`.
+    /// disables both: every request recomputes from scratch.
     pub cache_mb: usize,
-    /// Disable the solve and request caches (`--no-cache`): every
-    /// request recomputes from scratch.
-    pub no_cache: bool,
     /// Worker count for the shared solve executor
     /// ([`mc3_solver::executor`]) all `/solve` and `/solve-batch`
     /// requests run their component solves on; `0` = one per available

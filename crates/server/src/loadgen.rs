@@ -2,10 +2,11 @@
 //! serving plane.
 //!
 //! Workers share one atomic request ticket; ticket `i` maps through
-//! [`RequestMix::entry_for`] to a pre-serialized `/solve` body (every
-//! 16th ticket scrapes `/metrics` instead, so the report covers both
-//! routes). Request bodies are generated **once** up front, so the load
-//! measured is the server's, not the generator's. The run reports
+//! [`RequestMix::entry_for`](mc3_workload::RequestMix::entry_for) to a
+//! pre-serialized `/solve` body (every 16th ticket scrapes `/metrics`
+//! instead, so the report covers both routes). Request bodies are
+//! generated **once** up front, so the load measured is the server's,
+//! not the generator's. The run reports
 //! p50/p95/p99 per route and exits non-zero when the `/solve` p99
 //! exceeds `--slo p99=...`.
 //!

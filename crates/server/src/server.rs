@@ -30,12 +30,12 @@
 //! ([`mc3_obs::prometheus_text`]), the constant
 //! [`mc3_obs::build_info_text`] gauge, the live request-plane
 //! families ([`RequestMetrics::render`]), the cache occupancy
-//! families ([`cache_metrics_text`]), and the live executor families
-//! ([`exec_metrics_text`]).
+//! families, and the live executor families.
 //!
 //! # Caching
 //!
-//! Unless `--no-cache` is set, `/solve` consults two memo layers:
+//! Unless `--cache-mb 0` is set, `/solve` consults two memo layers, each
+//! a [`ByteLru`]:
 //!
 //! 1. an **exact-body request cache** — a byte-bounded LRU keyed by a
 //!    stable hash of the raw body plus the algorithm selector; a hit
@@ -49,11 +49,10 @@ use crate::http::{encode_response, read_request, Request};
 use crate::pool::ThreadPool;
 use crate::ServerConfig;
 use mc3_core::json::Json;
-use mc3_core::{FxHashMap, StableHasher};
+use mc3_core::StableHasher;
 use mc3_obs::{RequestMetrics, Route};
-use mc3_solver::{executor, Algorithm, Mc3Solver, SolveCache};
+use mc3_solver::{executor, Algorithm, ByteLru, Mc3Solver, SolveCache};
 use mc3_telemetry::Aggregator;
-use std::collections::BTreeMap;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -66,111 +65,50 @@ use std::time::Duration;
 const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
 
 /// Fixed per-entry overhead charged by the request cache on top of the
-/// rendered body: key, LRU slot, map slot, `Json` tree bookkeeping.
+/// rendered body: key, LRU slot, map slot, id range.
 const REQUEST_ENTRY_OVERHEAD: usize = 160;
 
 /// Exact-body response memo for `POST /solve`: keyed by a stable hash of
-/// the raw request body plus the algorithm selector, holding the full
-/// 200-response document. A hit clones the document and re-stamps
-/// `request_id`, so every response stays uniquely attributable.
+/// the raw request body plus the algorithm selector, holding the rendered
+/// 200-response body. A hit re-stamps `request_id`, so every response
+/// stays uniquely attributable.
 struct RequestCache {
-    map: FxHashMap<u128, RequestEntry>,
-    lru: BTreeMap<u64, u128>,
-    bytes: usize,
-    budget: usize,
-    tick: u64,
+    lru: ByteLru<CachedResponse>,
     hits: u64,
     misses: u64,
     evictions: u64,
 }
 
-struct RequestEntry {
-    doc: Json,
-    bytes: usize,
-    tick: u64,
+/// A rendered `/solve` response and the byte range of its `request_id`
+/// value. A replay splices in the new id rather than cloning and
+/// re-rendering the document, which costs more than the rest of a hit.
+struct CachedResponse {
+    body: Vec<u8>,
+    id: std::ops::Range<usize>,
 }
 
-/// Snapshot of the request-cache counters, rendered into `/metrics`.
-struct RequestCacheStats {
-    hits: u64,
-    misses: u64,
-    evictions: u64,
-    entries: usize,
-    bytes: usize,
-}
-
-impl RequestCache {
-    fn new(budget: usize) -> RequestCache {
-        RequestCache {
-            map: FxHashMap::default(),
-            lru: BTreeMap::new(),
-            bytes: 0,
-            budget,
-            tick: 0,
-            hits: 0,
-            misses: 0,
-            evictions: 0,
-        }
+impl CachedResponse {
+    /// Remembers `body`, rendered for `request_id`; `None` if the id is
+    /// not found as the top-level `request_id` value.
+    fn new(body: &[u8], request_id: &str) -> Option<CachedResponse> {
+        let needle = format!("\"request_id\": \"{request_id}\"");
+        let at = body
+            .windows(needle.len())
+            .position(|w| w == needle.as_bytes())?;
+        let start = at + needle.len() - 1 - request_id.len();
+        Some(CachedResponse {
+            body: body.to_vec(),
+            id: start..start + request_id.len(),
+        })
     }
 
-    fn lookup(&mut self, key: u128) -> Option<Json> {
-        self.tick += 1;
-        let tick = self.tick;
-        match self.map.get_mut(&key) {
-            Some(entry) => {
-                self.lru.remove(&entry.tick);
-                entry.tick = tick;
-                self.lru.insert(tick, key);
-                self.hits += 1;
-                Some(entry.doc.clone())
-            }
-            None => {
-                self.misses += 1;
-                None
-            }
-        }
-    }
-
-    fn insert(&mut self, key: u128, doc: Json, body_len: usize) {
-        let bytes = body_len + REQUEST_ENTRY_OVERHEAD;
-        if bytes > self.budget {
-            return; // never evict the whole cache for one giant response
-        }
-        if let Some(old) = self.map.remove(&key) {
-            self.lru.remove(&old.tick);
-            self.bytes -= old.bytes;
-        }
-        while self.bytes + bytes > self.budget {
-            let Some((&oldest, &victim)) = self.lru.iter().next() else {
-                break;
-            };
-            self.lru.remove(&oldest);
-            if let Some(evicted) = self.map.remove(&victim) {
-                self.bytes -= evicted.bytes;
-                self.evictions += 1;
-            }
-        }
-        self.tick += 1;
-        self.lru.insert(self.tick, key);
-        self.map.insert(
-            key,
-            RequestEntry {
-                doc,
-                bytes,
-                tick: self.tick,
-            },
-        );
-        self.bytes += bytes;
-    }
-
-    fn stats(&self) -> RequestCacheStats {
-        RequestCacheStats {
-            hits: self.hits,
-            misses: self.misses,
-            evictions: self.evictions,
-            entries: self.map.len(),
-            bytes: self.bytes,
-        }
+    /// The response body stamped with `request_id`.
+    fn restamped(&self, request_id: &str) -> Vec<u8> {
+        let mut body = Vec::with_capacity(self.body.len() + request_id.len());
+        body.extend_from_slice(&self.body[..self.id.start]);
+        body.extend_from_slice(request_id.as_bytes());
+        body.extend_from_slice(&self.body[self.id.end..]);
+        body
     }
 }
 
@@ -178,14 +116,8 @@ impl RequestCache {
 /// selector, through the same seedless hasher the solve cache uses.
 fn body_key(body: &[u8], algorithm: &str) -> u128 {
     let mut h = StableHasher::new();
-    for bytes in [body, algorithm.as_bytes()] {
-        h.write_u64(bytes.len() as u64);
-        for chunk in bytes.chunks(8) {
-            let mut w = [0u8; 8];
-            w[..chunk.len()].copy_from_slice(chunk);
-            h.write_u64(u64::from_le_bytes(w));
-        }
-    }
+    h.write_bytes(body);
+    h.write_bytes(algorithm.as_bytes());
     h.finish128()
 }
 
@@ -205,15 +137,21 @@ pub struct ServerState {
 
 impl ServerState {
     fn new(cfg: &ServerConfig) -> ServerState {
-        let caching = !cfg.no_cache && cfg.cache_mb > 0;
+        let caching = cfg.cache_mb > 0;
         ServerState {
             metrics: RequestMetrics::new(),
             aggregator: Aggregator::new(),
             request_seq: AtomicU64::new(0),
             nonce: mc3_telemetry::monotonic_ns(),
             solve_cache: caching.then(|| Arc::new(SolveCache::with_capacity_mb(cfg.cache_mb))),
-            request_cache: caching
-                .then(|| Mutex::new(RequestCache::new(cfg.cache_mb * (1 << 20) / 4))),
+            request_cache: caching.then(|| {
+                Mutex::new(RequestCache {
+                    lru: ByteLru::new(cfg.cache_mb * (1 << 20) / 4),
+                    hits: 0,
+                    misses: 0,
+                    evictions: 0,
+                })
+            }),
             requests_dropped: AtomicU64::new(0),
         }
     }
@@ -556,8 +494,7 @@ fn cache_metrics_text(state: &ServerState) -> String {
         out.push_str(&format!("mc3_cache_entries {}\n", s.entries));
     }
     if let Some(cache) = &state.request_cache {
-        if let Ok(cache) = cache.lock() {
-            let s = cache.stats();
+        if let Ok(s) = cache.lock() {
             out.push_str("# TYPE mc3_request_cache_hits_total counter\n");
             out.push_str(&format!("mc3_request_cache_hits_total {}\n", s.hits));
             out.push_str("# TYPE mc3_request_cache_misses_total counter\n");
@@ -568,9 +505,12 @@ fn cache_metrics_text(state: &ServerState) -> String {
                 s.evictions
             ));
             out.push_str("# TYPE mc3_request_cache_entries gauge\n");
-            out.push_str(&format!("mc3_request_cache_entries {}\n", s.entries));
+            out.push_str(&format!("mc3_request_cache_entries {}\n", s.lru.len()));
             out.push_str("# TYPE mc3_request_cache_resident_bytes gauge\n");
-            out.push_str(&format!("mc3_request_cache_resident_bytes {}\n", s.bytes));
+            out.push_str(&format!(
+                "mc3_request_cache_resident_bytes {}\n",
+                s.lru.bytes()
+            ));
         }
     }
     out
@@ -640,14 +580,22 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
         .map(|_| body_key(req.body.as_slice(), algorithm.name()));
     if let (Some(cache), Some(key)) = (state.request_cache.as_ref(), key) {
         let cached = match cache.lock() {
-            Ok(mut cache) => cache.lookup(key),
+            Ok(mut cache) => {
+                let body = cache.lru.get(key).map(|r| r.restamped(request_id));
+                match body {
+                    Some(_) => cache.hits += 1,
+                    None => cache.misses += 1,
+                }
+                body
+            }
             Err(_) => None, // poisoned lock: serve uncached, never fail the request
         };
-        if let Some(mut doc) = cached {
-            if let Json::Object(map) = &mut doc {
-                map.insert("request_id".to_owned(), Json::Str(request_id.to_owned()));
-            }
-            return json_response(200, &doc);
+        if let Some(body) = cached {
+            return HandlerResponse {
+                status: 200,
+                content_type: "application/json",
+                body,
+            };
         }
     }
 
@@ -665,8 +613,14 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
     );
     let response = json_response(200, &doc);
     if let (Some(cache), Some(key)) = (state.request_cache.as_ref(), key) {
-        if let Ok(mut cache) = cache.lock() {
-            cache.insert(key, doc, response.body.len());
+        let entry = CachedResponse::new(&response.body, request_id);
+        if let (Some(entry), Ok(mut cache)) = (entry, cache.lock()) {
+            let bytes = response.body.len() + REQUEST_ENTRY_OVERHEAD;
+            // A response larger than the whole budget is refused rather
+            // than evicting the cache for it.
+            if let Some(evicted) = cache.lru.insert(key, entry, bytes) {
+                cache.evictions += evicted;
+            }
         }
     }
     response
@@ -792,4 +746,28 @@ fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> H
         ("items", Json::Array(out)),
     ]);
     json_response(200, &doc)
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn cached_response_restamps_only_the_request_id() {
+        // A dataset name that spells out the key cannot match: its quotes
+        // are escaped in the rendered body.
+        let doc = |id: &str| {
+            Json::object([
+                ("dataset", Json::Str("\"request_id\": \"0000\"".to_owned())),
+                ("request_id", Json::Str(id.to_owned())),
+                ("wall_ns", Json::object([("total", Json::Int(7))])),
+            ])
+        };
+        let first = json_response(200, &doc("0000")).body;
+        let cached = CachedResponse::new(&first, "0000").expect("id found");
+        for id in ["0001", "00000001-0000000a", ""] {
+            assert_eq!(cached.restamped(id), json_response(200, &doc(id)).body);
+        }
+        assert!(CachedResponse::new(&first, "0002").is_none());
+    }
 }

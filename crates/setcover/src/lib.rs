@@ -12,7 +12,7 @@
 //!   in both directions) with its `frequency` (`f`) and `degree` (`Δ`)
 //!   parameters;
 //! * [`bitcover`] — the shared [`BitCover`] bitset coverage kernel the hot
-//!   loops of [`greedy`], [`prune`] and [`local_search`] run on (see
+//!   loops of [`greedy`], [`prune`] and [`local_search`](mod@local_search) run on (see
 //!   `docs/performance.md`);
 //! * [`greedy`] — lazy-heap Chvátal greedy;
 //! * [`primal_dual`] — the Bar-Yehuda–Even combinatorial `f`-approximation

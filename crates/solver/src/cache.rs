@@ -23,12 +23,12 @@
 //!
 //! # Concurrency and accounting
 //!
-//! The cache is lock-striped into [`SHARDS`] shards selected by key
-//! bits, so the parallel work-stealing component workers rarely
-//! contend. Each shard owns its own LRU order and byte budget
-//! (`capacity / SHARDS`); entry sizes are estimated from their set
-//! payloads. All statistics live under the shard locks — no atomics —
-//! and are summed on demand by [`SolveCache::stats`]. Hits, misses,
+//! The cache is lock-striped into 16 shards selected by key bits, so
+//! the parallel work-stealing component workers rarely contend. Each
+//! shard is a [`ByteLru`] with a sixteenth of the capacity as its byte
+//! budget; entry sizes are estimated from their set payloads. All
+//! statistics live under the shard locks — no atomics — and are summed
+//! on demand by [`SolveCache::stats`]. Hits, misses,
 //! evictions and lookup latency are also reported through the
 //! `mc3-telemetry` registry (`cache_hits`/`cache_misses`/
 //! `cache_evictions`/`cache_lookup_ns`), which is what surfaces them as
@@ -70,7 +70,7 @@ impl CachedSolve {
 /// verified solution, or the verdict that the component is uncoverable
 /// (negative-result memoization — the ROADMAP's "infeasible verdicts
 /// are work too" item). Negative entries ride the same LRU/byte
-/// accounting as positive ones, at the fixed [`ENTRY_OVERHEAD`].
+/// accounting as positive ones, at the fixed per-entry overhead.
 #[derive(Debug, Clone)]
 pub enum CachedOutcome {
     /// A memoized solution (in canonical property ids).
@@ -88,58 +88,124 @@ impl CachedOutcome {
     }
 }
 
-struct Entry {
-    outcome: CachedOutcome,
+/// A byte-bounded least-recently-used map keyed by `u128` fingerprints.
+///
+/// Every entry carries a caller-supplied byte estimate; an insert evicts
+/// least-recently-used entries until the new one fits the budget, and an
+/// entry larger than the whole budget is refused. The new entry is never
+/// its own victim. [`get`](Self::get) refreshes an entry's position;
+/// [`contains`](Self::contains) does not. Both memo layers of `mc3 serve`
+/// run on this type: each [`SolveCache`] shard and the server's
+/// exact-body request cache.
+#[derive(Debug)]
+pub struct ByteLru<V> {
+    map: FxHashMap<u128, Slot<V>>,
+    /// Recency order: tick → key. Ticks are unique.
+    order: BTreeMap<u64, u128>,
+    bytes: usize,
+    budget: usize,
+    tick: u64,
+}
+
+#[derive(Debug)]
+struct Slot<V> {
+    value: V,
     bytes: usize,
     tick: u64,
 }
 
-#[derive(Default)]
+impl<V> ByteLru<V> {
+    /// An empty map holding at most `budget` estimated bytes.
+    pub fn new(budget: usize) -> ByteLru<V> {
+        ByteLru {
+            map: FxHashMap::default(),
+            order: BTreeMap::new(),
+            bytes: 0,
+            budget,
+            tick: 0,
+        }
+    }
+
+    /// The entry for `key`, made the most recently used.
+    pub fn get(&mut self, key: u128) -> Option<&V> {
+        let slot = self.map.get_mut(&key)?;
+        self.order.remove(&slot.tick);
+        self.tick += 1;
+        slot.tick = self.tick;
+        self.order.insert(self.tick, key);
+        Some(&slot.value)
+    }
+
+    /// Whether `key` has an entry, leaving the recency order untouched.
+    pub fn contains(&self, key: u128) -> bool {
+        self.map.contains_key(&key)
+    }
+
+    /// Inserts (or replaces) `key` as the most recently used entry,
+    /// charged `bytes`. Returns how many other entries were evicted to
+    /// make room, or `None` when `bytes` exceeds the whole budget — the
+    /// entry is then refused and the map left as it was.
+    pub fn insert(&mut self, key: u128, value: V, bytes: usize) -> Option<u64> {
+        if bytes > self.budget {
+            return None;
+        }
+        self.remove(key);
+        let mut evicted = 0;
+        while self.bytes + bytes > self.budget {
+            let Some((_, victim)) = self.order.pop_first() else {
+                break;
+            };
+            if let Some(slot) = self.map.remove(&victim) {
+                self.bytes -= slot.bytes;
+            }
+            evicted += 1;
+        }
+        self.tick += 1;
+        self.order.insert(self.tick, key);
+        self.map.insert(
+            key,
+            Slot {
+                value,
+                bytes,
+                tick: self.tick,
+            },
+        );
+        self.bytes += bytes;
+        Some(evicted)
+    }
+
+    /// Drops the entry for `key`, returning its value.
+    pub fn remove(&mut self, key: u128) -> Option<V> {
+        let slot = self.map.remove(&key)?;
+        self.order.remove(&slot.tick);
+        self.bytes -= slot.bytes;
+        Some(slot.value)
+    }
+
+    /// Live entries.
+    pub fn len(&self) -> usize {
+        self.map.len()
+    }
+
+    /// Whether the map holds no entry.
+    pub fn is_empty(&self) -> bool {
+        self.map.is_empty()
+    }
+
+    /// Estimated resident bytes: the sum of the live entries' charges.
+    pub fn bytes(&self) -> usize {
+        self.bytes
+    }
+}
+
+/// One lock stripe: its LRU plus the counters [`SolveCache::stats`] sums.
 struct Shard {
-    map: FxHashMap<u128, Entry>,
-    /// LRU order: tick → key. Ticks are unique per shard.
-    lru: BTreeMap<u64, u128>,
-    bytes: usize,
-    tick: u64,
+    lru: ByteLru<CachedOutcome>,
     hits: u64,
     negative_hits: u64,
     misses: u64,
     evictions: u64,
     insertions: u64,
-}
-
-impl Shard {
-    fn touch(&mut self, key: u128) {
-        if let Some(e) = self.map.get_mut(&key) {
-            self.lru.remove(&e.tick);
-            self.tick += 1;
-            e.tick = self.tick;
-            self.lru.insert(self.tick, key);
-        }
-    }
-
-    fn remove(&mut self, key: u128) {
-        if let Some(e) = self.map.remove(&key) {
-            self.lru.remove(&e.tick);
-            self.bytes -= e.bytes;
-        }
-    }
-
-    fn evict_to(&mut self, budget: usize) -> u64 {
-        let mut evicted = 0;
-        while self.bytes > budget {
-            let Some((&tick, &key)) = self.lru.iter().next() else {
-                break;
-            };
-            self.lru.remove(&tick);
-            if let Some(e) = self.map.remove(&key) {
-                self.bytes -= e.bytes;
-            }
-            evicted += 1;
-        }
-        self.evictions += evicted;
-        evicted
-    }
 }
 
 /// Aggregated statistics of a [`SolveCache`].
@@ -170,7 +236,6 @@ pub struct CacheStats {
 /// alias).
 pub struct SolveCache {
     shards: Vec<Mutex<Shard>>,
-    shard_budget: usize,
     capacity: usize,
 }
 
@@ -186,9 +251,20 @@ impl std::fmt::Debug for SolveCache {
 impl SolveCache {
     /// A cache bounded to (an estimate of) `bytes` resident bytes.
     pub fn with_capacity_bytes(bytes: usize) -> SolveCache {
+        let shard_budget = (bytes / SHARDS).max(ENTRY_OVERHEAD);
         SolveCache {
-            shards: (0..SHARDS).map(|_| Mutex::new(Shard::default())).collect(),
-            shard_budget: (bytes / SHARDS).max(ENTRY_OVERHEAD),
+            shards: (0..SHARDS)
+                .map(|_| {
+                    Mutex::new(Shard {
+                        lru: ByteLru::new(shard_budget),
+                        hits: 0,
+                        negative_hits: 0,
+                        misses: 0,
+                        evictions: 0,
+                        insertions: 0,
+                    })
+                })
+                .collect(),
             capacity: bytes,
         }
     }
@@ -208,9 +284,7 @@ impl SolveCache {
     /// (or [`confirm_negative_hit`](Self::confirm_negative_hit)) or
     /// [`reject`](Self::reject).
     pub fn lookup_outcome(&self, key: u128) -> Option<CachedOutcome> {
-        let mut shard = self.shard(key).lock().ok()?;
-        shard.touch(key);
-        shard.map.get(&key).map(|e| e.outcome.clone())
+        self.shard(key).lock().ok()?.lru.get(key).cloned()
     }
 
     /// Whether an entry (of either polarity) exists for `key`, without
@@ -221,7 +295,7 @@ impl SolveCache {
     pub fn contains(&self, key: u128) -> bool {
         self.shard(key)
             .lock()
-            .is_ok_and(|shard| shard.map.contains_key(&key))
+            .is_ok_and(|shard| shard.lru.contains(key))
     }
 
     /// Records a verified hit.
@@ -251,7 +325,7 @@ impl SolveCache {
     /// Drops an entry that failed re-verification (collision/corruption).
     pub fn reject(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
-            shard.remove(key);
+            shard.lru.remove(key);
         }
     }
 
@@ -269,29 +343,15 @@ impl SolveCache {
 
     fn insert_outcome(&self, key: u128, outcome: CachedOutcome) {
         let bytes = outcome.bytes();
-        if bytes > self.shard_budget {
+        let Ok(mut shard) = self.shard(key).lock() else {
             return;
-        }
-        let evicted = {
-            let Ok(mut shard) = self.shard(key).lock() else {
-                return;
-            };
-            shard.remove(key);
-            shard.tick += 1;
-            let tick = shard.tick;
-            shard.lru.insert(tick, key);
-            shard.bytes += bytes;
-            shard.insertions += 1;
-            shard.map.insert(
-                key,
-                Entry {
-                    outcome,
-                    bytes,
-                    tick,
-                },
-            );
-            shard.evict_to(self.shard_budget)
         };
+        let Some(evicted) = shard.lru.insert(key, outcome, bytes) else {
+            return;
+        };
+        shard.insertions += 1;
+        shard.evictions += evicted;
+        drop(shard);
         if evicted > 0 {
             mc3_telemetry::count(mc3_telemetry::Counter::CacheEvictions, evicted);
         }
@@ -310,8 +370,8 @@ impl SolveCache {
                 s.misses += shard.misses;
                 s.evictions += shard.evictions;
                 s.insertions += shard.insertions;
-                s.entries += shard.map.len() as u64;
-                s.resident_bytes += shard.bytes as u64;
+                s.entries += shard.lru.len() as u64;
+                s.resident_bytes += shard.lru.bytes() as u64;
             }
         }
         s
@@ -328,16 +388,6 @@ pub(crate) fn component_key(canonical: &Canonical, config_digest: u64) -> u128 {
     h.finish128()
 }
 
-fn write_str(h: &mut StableHasher, s: &str) {
-    let bytes = s.as_bytes();
-    h.write_u64(bytes.len() as u64);
-    for chunk in bytes.chunks(8) {
-        let mut word = [0u8; 8];
-        word[..chunk.len()].copy_from_slice(chunk);
-        h.write_u64(u64::from_le_bytes(word));
-    }
-}
-
 /// A stable digest of every configuration knob that changes what a
 /// component solve produces. Two configurations with different digests
 /// never share cache entries.
@@ -347,10 +397,9 @@ pub(crate) fn config_digest(
     kp: usize,
 ) -> u64 {
     let mut h = StableHasher::new();
-    write_str(&mut h, effective.name());
-    write_str(&mut h, &format!("{:?}", config.wsc_strategy));
-    write_str(&mut h, &format!("{:?}", config.lp_limits));
-    write_str(&mut h, &format!("{:?}", config.flow_algorithm));
+    h.write_bytes(effective.name().as_bytes());
+    h.write_bytes(format!("{:?}", config.wsc_strategy).as_bytes());
+    h.write_bytes(format!("{:?}", config.lp_limits).as_bytes());
     h.write_u64(u64::from(config.refine_wsc));
     h.write_u64(kp as u64);
     h.finish128() as u64
@@ -607,26 +656,19 @@ mod tests {
     }
 
     #[test]
-    fn byte_budget_evicts_lru_first() {
+    fn shard_counts_admissions_and_evictions() {
         // Budget fits ~2 entries per shard; keys 0, 16, 32 share shard 0.
         let cache = SolveCache::with_capacity_bytes(SHARDS * (2 * ENTRY_OVERHEAD + 64));
         cache.insert(0, entry(1, 1));
         cache.insert(16, entry(1, 2));
-        // Touch key 0 so key 16 is the LRU victim.
-        assert!(cache.lookup_outcome(0).is_some());
         cache.insert(32, entry(1, 3));
-        assert!(cache.lookup_outcome(16).is_none(), "LRU entry evicted");
-        assert!(cache.lookup_outcome(0).is_some());
-        assert!(cache.lookup_outcome(32).is_some());
-        assert!(cache.stats().evictions >= 1);
-    }
-
-    #[test]
-    fn oversized_entries_are_not_admitted() {
-        let cache = SolveCache::with_capacity_bytes(SHARDS * ENTRY_OVERHEAD);
-        cache.insert(3, entry(100_000, 1));
-        assert!(cache.lookup_outcome(3).is_none());
-        assert_eq!(cache.stats().insertions, 0);
+        // An entry larger than a shard's budget is not admitted.
+        cache.insert(48, entry(100_000, 4));
+        assert!(!cache.contains(0), "LRU entry evicted");
+        assert!(!cache.contains(48), "oversized entry refused");
+        let s = cache.stats();
+        assert_eq!((s.insertions, s.evictions, s.entries), (3, 1, 2));
+        assert_eq!(s.resident_bytes, 2 * entry(1, 0).bytes() as u64);
     }
 
     #[test]
@@ -645,30 +687,85 @@ mod tests {
         assert!(!cache.contains(11));
     }
 
-    #[test]
-    fn contains_probe_does_not_perturb_lru_order() {
-        // Budget fits ~2 entries per shard; keys 0, 16, 32 share shard 0.
-        let cache = SolveCache::with_capacity_bytes(SHARDS * (2 * ENTRY_OVERHEAD + 64));
-        cache.insert(0, entry(1, 1));
-        cache.insert(16, entry(1, 2));
-        // A lookup would promote key 0; the scheduler probe must not.
-        assert!(cache.contains(0));
-        cache.insert(32, entry(1, 3));
-        assert!(
-            cache.lookup_outcome(0).is_none(),
-            "key 0 stayed the LRU victim"
-        );
-        assert!(cache.lookup_outcome(16).is_some());
+    /// A map whose budget fits exactly two unit-charged entries.
+    fn two_slot_lru() -> ByteLru<u32> {
+        ByteLru::new(2)
     }
 
     #[test]
-    fn replacing_an_entry_does_not_leak_bytes() {
-        let cache = SolveCache::with_capacity_mb(1);
-        cache.insert(9, entry(50, 1));
-        let before = cache.stats().resident_bytes;
-        cache.insert(9, entry(50, 2));
-        assert_eq!(cache.stats().resident_bytes, before);
-        assert_eq!(cache.stats().entries, 1);
-        assert_eq!(solved(&cache, 9).map(|e| e.cost_raw), Some(2));
+    fn lru_evicts_least_recently_used_first() {
+        let mut lru = two_slot_lru();
+        assert_eq!(lru.insert(0, 1, 1), Some(0));
+        assert_eq!(lru.insert(16, 2, 1), Some(0));
+        // Touch key 0 so key 16 is the LRU victim.
+        assert_eq!(lru.get(0), Some(&1));
+        assert_eq!(lru.insert(32, 3, 1), Some(1));
+        assert_eq!(lru.get(16), None, "LRU entry evicted");
+        assert_eq!(lru.get(0), Some(&1));
+        assert_eq!(lru.get(32), Some(&3));
+        assert_eq!((lru.len(), lru.bytes()), (2, 2));
+    }
+
+    #[test]
+    fn lru_refuses_oversized_entries() {
+        let mut lru = two_slot_lru();
+        lru.insert(1, 1, 1);
+        assert_eq!(lru.insert(3, 9, 3), None);
+        assert_eq!(lru.insert(1, 9, 3), None, "refusal keeps the old entry");
+        assert!(!lru.contains(3));
+        assert_eq!(lru.get(1), Some(&1));
+        assert_eq!((lru.len(), lru.bytes()), (1, 1));
+    }
+
+    #[test]
+    fn lru_contains_probe_does_not_perturb_order() {
+        let mut lru = two_slot_lru();
+        lru.insert(0, 1, 1);
+        lru.insert(16, 2, 1);
+        // A get would promote key 0; the probe must not.
+        assert!(lru.contains(0));
+        lru.insert(32, 3, 1);
+        assert!(!lru.contains(0), "key 0 stayed the LRU victim");
+        assert!(lru.contains(16));
+    }
+
+    #[test]
+    fn lru_replacing_an_entry_does_not_leak_bytes() {
+        let mut lru = ByteLru::new(100);
+        lru.insert(9, 1, 40);
+        assert_eq!(lru.insert(9, 2, 40), Some(0));
+        assert_eq!((lru.len(), lru.bytes()), (1, 40));
+        assert_eq!(lru.get(9), Some(&2));
+        // A bigger replacement evicts others, never the entry itself.
+        lru.insert(5, 3, 30);
+        assert_eq!(lru.insert(9, 4, 90), Some(1));
+        assert_eq!((lru.len(), lru.bytes()), (1, 90));
+        assert_eq!(lru.remove(9), Some(4));
+        assert!(lru.is_empty());
+        assert_eq!(lru.bytes(), 0);
+    }
+
+    #[test]
+    fn lru_as_a_response_cache() {
+        // Shaped like `mc3 serve`'s exact-body cache: rendered bodies
+        // charged their length + 160, a budget that holds three.
+        let body = |key: u128| vec![key as u8; 1000];
+        let charge = |len: usize| len + 160;
+        let mut lru: ByteLru<Vec<u8>> = ByteLru::new(3 * charge(1000));
+        let mut evicted = 0;
+        for key in 0..5u128 {
+            evicted += lru.insert(key, body(key), charge(1000)).unwrap();
+            // Replays of the first body keep it hot.
+            assert!(lru.get(0).is_some(), "key {key}");
+        }
+        assert_eq!(evicted, 2);
+        assert_eq!(lru.len(), 3);
+        assert_eq!(lru.bytes(), 3 * charge(1000));
+        assert_eq!(lru.get(0), Some(&body(0)));
+        assert!(!lru.contains(1) && !lru.contains(2));
+        assert_eq!(lru.get(4), Some(&body(4)));
+        // A response larger than the whole budget is never admitted.
+        assert_eq!(lru.insert(9, body(9), charge(4000)), None);
+        assert_eq!(lru.len(), 3);
     }
 }

@@ -12,7 +12,7 @@
 use crate::work::WorkState;
 use mc3_core::u32_of;
 use mc3_core::{ClassifierId, FxHashMap, Mc3Error, Result, Weight};
-use mc3_flow::{solve_bipartite_wvc_with, BipartiteWvc, FlowAlgorithm};
+use mc3_flow::{solve_bipartite_wvc, BipartiteWvc};
 
 /// Solves the residual problem restricted to `queries` (each of length ≤ 2)
 /// exactly; returns the classifier ids to add to the solution.
@@ -20,16 +20,6 @@ use mc3_flow::{solve_bipartite_wvc_with, BipartiteWvc, FlowAlgorithm};
 /// Singleton queries that survived preprocessing (e.g. when preprocessing is
 /// disabled) are handled by directly selecting their singleton classifier.
 pub fn solve_k2(ws: &WorkState<'_>, queries: &[usize]) -> Result<Vec<ClassifierId>> {
-    solve_k2_with(ws, queries, FlowAlgorithm::Dinic)
-}
-
-/// [`solve_k2`] with an explicit max-flow algorithm (the paper compared
-/// several before picking Dinic; see `mc3_flow::FlowAlgorithm`).
-pub fn solve_k2_with(
-    ws: &WorkState<'_>,
-    queries: &[usize],
-    flow: FlowAlgorithm,
-) -> Result<Vec<ClassifierId>> {
     let _span = mc3_telemetry::span("k2.solve");
     mc3_telemetry::span_add(mc3_telemetry::Counter::DispatchK2, 1);
     let mut picked: Vec<ClassifierId> = Vec::new();
@@ -121,7 +111,7 @@ pub fn solve_k2_with(
             right_weights,
             edges,
         };
-        let sol = solve_bipartite_wvc_with(&inst, flow).map_err(|e| match e {
+        let sol = solve_bipartite_wvc(&inst).map_err(|e| match e {
             // translate edge index back to the query it came from
             Mc3Error::Uncoverable { query_index } => Mc3Error::Uncoverable {
                 query_index: edge_query[query_index],

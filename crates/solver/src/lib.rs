@@ -40,10 +40,9 @@ pub mod solver;
 pub mod verify;
 pub mod work;
 
-pub use cache::{CacheStats, CachedOutcome, CachedSolve, SolveCache};
+pub use cache::{ByteLru, CacheStats, CachedOutcome, CachedSolve, SolveCache};
 pub use exact::solve_exact;
 pub use general::{LpLimits, WscStrategy};
-pub use mc3_flow::FlowAlgorithm;
 pub use multivalued_ext::{solve_with_multivalued, MixedPick, MixedSolution};
 pub use partial::{
     solve_partial_cover, solve_partial_cover_with, solve_partial_exact, PartialCoverOutcome,

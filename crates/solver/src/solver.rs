@@ -6,7 +6,7 @@ use crate::baselines;
 use crate::components::connected_components;
 use crate::exact;
 use crate::general::{LpLimits, WscStrategy};
-use crate::k2::solve_k2_with;
+use crate::k2::solve_k2;
 use crate::preprocess::{preprocess, PreprocessOptions, PreprocessStats};
 use crate::work::WorkState;
 use mc3_core::{ClassifierId, ClassifierUniverse, Instance, InstanceStats, Result, Solution};
@@ -111,8 +111,6 @@ pub struct SolverConfig {
     /// beyond the published Algorithm 3 that preserves all guarantees;
     /// disable to reproduce the paper's algorithm verbatim).
     pub refine_wsc: bool,
-    /// Max-flow algorithm for Algorithm 2's WVC step (paper: Dinic).
-    pub flow_algorithm: mc3_flow::FlowAlgorithm,
     /// Classifiers that are already built (incremental planning): their
     /// construction cost is sunk, so they participate in covers for free
     /// and the reported solution cost is the *marginal* cost of the new
@@ -138,7 +136,6 @@ impl Default for SolverConfig {
             parallel: false,
             max_classifier_len: None,
             refine_wsc: true,
-            flow_algorithm: mc3_flow::FlowAlgorithm::Dinic,
             prebuilt: Vec::new(),
             cache: None,
         }
@@ -392,7 +389,7 @@ impl Mc3Solver {
                 .into_iter()
                 .filter(|&q| ws.universe.query_local(q).len <= 2)
                 .collect();
-            let ids = solve_k2_with(&ws, &short, self.config.flow_algorithm)?;
+            let ids = solve_k2(&ws, &short)?;
             for id in ids {
                 ws.select(id);
             }
@@ -439,7 +436,7 @@ impl Mc3Solver {
                         scratch: &mut crate::reduction::ReductionScratch|
          -> Result<Vec<ClassifierId>> {
             match effective {
-                Algorithm::K2Exact => solve_k2_with(&ws, comp, self.config.flow_algorithm),
+                Algorithm::K2Exact => solve_k2(&ws, comp),
                 Algorithm::General | Algorithm::ShortFirst => {
                     crate::general::solve_general_scratch(
                         &ws,
@@ -897,36 +894,6 @@ mod tests {
         // with X free, completing via Y (4) beats XY (6)
         assert_eq!(report.solution.cost(), Weight::new(4));
         assert!(mc3_core::is_cover(&instance, &report.full_cover()));
-    }
-
-    #[test]
-    fn both_flow_algorithms_agree_through_the_facade() {
-        use mc3_core::rng::prelude::*;
-        let mut rng = StdRng::seed_from_u64(0xF10F);
-        for round in 0..10 {
-            let n = rng.gen_range(2..=20usize);
-            let mut queries = Vec::new();
-            for _ in 0..n {
-                let len = rng.gen_range(1..=2usize);
-                queries.push(
-                    (0..len)
-                        .map(|_| rng.gen_range(0..12u32))
-                        .collect::<Vec<_>>(),
-                );
-            }
-            let instance = Instance::new(queries, Weights::seeded(round, 1, 30)).unwrap();
-            let dinic = Mc3Solver::new()
-                .algorithm(Algorithm::K2Exact)
-                .solve(&instance)
-                .unwrap();
-            let cfg = SolverConfig {
-                algorithm: Algorithm::K2Exact,
-                flow_algorithm: mc3_flow::FlowAlgorithm::PushRelabel,
-                ..Default::default()
-            };
-            let pr = Mc3Solver::with_config(cfg).solve(&instance).unwrap();
-            assert_eq!(dinic.cost(), pr.cost(), "round {round}");
-        }
     }
 
     #[test]

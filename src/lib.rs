@@ -54,9 +54,9 @@ pub use mc3_workload as workload;
 /// One-stop imports for typical use.
 pub mod prelude {
     pub use mc3_core::{
-        covered, is_cover, AttributeSchema, Classifier, ClassifierUniverse, Instance,
-        InstanceStats, Mc3Error, PropId, PropSet, PropertyInterner, Query, Solution, Weight,
-        Weights, WeightsBuilder,
+        is_cover, AttributeSchema, Classifier, ClassifierUniverse, Instance, InstanceStats,
+        Mc3Error, PropId, PropSet, PropertyInterner, Query, Solution, Weight, Weights,
+        WeightsBuilder,
     };
     pub use mc3_solver::{Algorithm, Mc3Solver, SolverConfig, SolverReport};
     pub use mc3_workload::{BestBuyConfig, Dataset, PrivateConfig, SyntheticConfig};
