@@ -24,8 +24,9 @@
 //! # Algorithm
 //!
 //! A color-refinement (1-WL) pass over the property/query incidence
-//! structure, seeded with invariant per-property keys (singleton
-//! classifier weight, degree, containing-query shapes), followed by
+//! structure, seeded with invariant per-property keys (the sorted
+//! multiset of `(size, weight)` over the finite weight entries holding
+//! the property, degree, containing-query shapes), followed by
 //! individualization-refinement search: while the coloring is not
 //! discrete, the first non-singleton color class is split by
 //! individualizing each of its members in turn, and the
@@ -33,6 +34,12 @@
 //! the target-cell rule are isomorphism-invariant, so relabeled
 //! instances produce the same encoding (Theorem: the leaf set of the
 //! search tree is invariant; we take its minimum).
+//!
+//! The seed carries the weights of multi-property classifiers, not just
+//! singleton weights: with distinct costs, properties that the
+//! incidence alone cannot tell apart start in different colors, and the
+//! search does not branch over them. The refinement itself stays on the
+//! incidence; the seed's colors persist into every search node.
 //!
 //! The search carries a **work budget**; pathologically symmetric
 //! instances exhaust it and [`canonicalize`] returns `None` (callers
@@ -520,11 +527,11 @@ pub fn canonicalize(
         }
     }
 
-    // Finite weight-oracle entries, plus per-prop singleton weights for
-    // the initial coloring.
+    // Finite weight-oracle entries, plus each prop's `(prop, entry size,
+    // weight)` triples for the initial coloring.
     let mut budget_left = budget;
     let mut weights = Vec::new();
-    let mut singleton = vec![u64::MAX; n];
+    let mut prop_entries: Vec<(u32, u64, u64)> = Vec::new();
     for (qi, members) in q_members.iter().enumerate() {
         let len = members.len();
         if len >= 32 {
@@ -545,10 +552,11 @@ pub fn canonicalize(
             if !w.is_finite() {
                 continue;
             }
-            if mask.count_ones() == 1 {
-                let bit = mask.trailing_zeros() as usize;
-                let p = members[bit] as usize;
-                singleton[p] = singleton[p].min(w.raw());
+            let size = u64::from(mask.count_ones());
+            for (bit, &p) in members.iter().enumerate() {
+                if (mask >> bit) & 1 == 1 {
+                    prop_entries.push((p, size, w.raw()));
+                }
             }
             weights.push(WeightEntry {
                 query: u32_of(qi),
@@ -569,11 +577,17 @@ pub fn canonicalize(
         budget: budget_left,
     };
 
-    // Initial invariant coloring: singleton weight, degree, shapes of the
-    // containing queries.
+    // Initial invariant coloring: sizes and weights of the finite
+    // entries holding the prop, degree, shapes of the containing queries.
+    prop_entries.sort_unstable();
+    let mut run = 0usize;
     let mut init_keys = Vec::with_capacity(n);
     let mut shape: Vec<u64> = Vec::new();
     for p in 0..n {
+        let start = run;
+        while prop_entries.get(run).is_some_and(|e| e.0 as usize == p) {
+            run += 1;
+        }
         shape.clear();
         for &(qi, bit) in &ctx.occ[ctx.occ_off[p]..ctx.occ_off[p + 1]] {
             let covered = u64::from((q_covered[qi as usize] >> bit) & 1);
@@ -582,7 +596,11 @@ pub fn canonicalize(
         }
         shape.sort_unstable();
         let mut h = StableHasher::new();
-        h.write_u64(singleton[p]);
+        h.write_u64((run - start) as u64);
+        for &(_, size, weight_raw) in &prop_entries[start..run] {
+            h.write_u64(size);
+            h.write_u64(weight_raw);
+        }
         h.write_u64(deg[p] as u64);
         h.write_words(&shape);
         init_keys.push(h.finish128());

@@ -32,7 +32,9 @@
 //! evictions and lookup latency are also reported through the
 //! `mc3-telemetry` registry (`cache_hits`/`cache_misses`/
 //! `cache_evictions`/`cache_lookup_ns`), which is what surfaces them as
-//! `mc3_cache_*` Prometheus families in `mc3 serve`.
+//! `mc3_cache_*` Prometheus families in `mc3 serve`; components that
+//! never reach a lookup because canonicalization ran out of budget are
+//! counted as `canon_budget_exhausted`.
 
 use crate::work::WorkState;
 use mc3_core::canon::{self, Canonical, StableHasher};
@@ -407,7 +409,8 @@ pub(crate) fn config_digest(
 
 /// Canonicalizes one residual component of the working state: the
 /// original queries with their covered masks, and the live weight
-/// oracle (removed / absent → ∞, selected → 0).
+/// oracle (removed / absent → ∞, selected → 0). A component that runs
+/// out of canonicalization budget is counted and solved uncached.
 pub(crate) fn component_canonical(
     ws: &WorkState<'_>,
     comp: &[usize],
@@ -417,7 +420,7 @@ pub(crate) fn component_canonical(
         .iter()
         .map(|&q| (&ws.instance.queries()[q], ws.covered[q]))
         .collect();
-    canon::canonicalize(&queries, kp, canon::DEFAULT_BUDGET, |qi, mask| {
+    let canonical = canon::canonicalize(&queries, kp, canon::DEFAULT_BUDGET, |qi, mask| {
         let local = ws.universe.query_local(comp[qi]);
         let id = local.table[mask as usize];
         if id.is_none() || !ws.is_available(id) {
@@ -425,7 +428,11 @@ pub(crate) fn component_canonical(
         } else {
             ws.weight[id.index()]
         }
-    })
+    });
+    if canonical.is_none() {
+        mc3_telemetry::count(mc3_telemetry::Counter::CanonBudgetExhausted, 1);
+    }
+    canonical
 }
 
 /// Remaps a cached canonical solution back into the current component's

@@ -108,6 +108,9 @@ declare_counters! {
     CacheEvictions => "cache_evictions",
     /// Solve cache: infeasibility verdicts replayed from the cache.
     CacheNegativeHits => "cache_negative_hits",
+    /// Solve cache: components whose canonicalization ran out of budget
+    /// (solved uncached).
+    CanonBudgetExhausted => "canon_budget_exhausted",
     /// Solve executor: component tasks executed by the shared workers.
     ExecTasks => "exec_tasks",
     /// Solve executor: tasks taken from another worker's deque.

@@ -346,31 +346,48 @@ fn disabled_gate_tracks_no_allocations() {
 #[test]
 fn recorded_allocations_attribute_to_the_open_span() {
     let _guard = locked();
-    let session = Session::begin();
-    {
-        let _s = span("alloc.host");
-        let v = vec![0u8; 4096];
-        drop(v);
+    // The report-level peak follows the process-wide live count, and
+    // frees on other threads of blocks allocated before the session began
+    // (the test harness tearing down a finished test) push that count
+    // below zero while this session records. So that one check gets up to
+    // eight fresh sessions; every other check must hold in each of them.
+    let mut global_peaks = Vec::new();
+    for _ in 0..8 {
+        let session = Session::begin();
+        {
+            let _s = span("alloc.host");
+            // black_box keeps the optimizer from eliding the
+            // allocate/free pair in release builds.
+            let v = std::hint::black_box(vec![0u8; 4096]);
+            drop(v);
+        }
+        let report = session.finish();
+        let node = report
+            .spans
+            .iter()
+            .find(|s| s.name == "alloc.host")
+            .expect("span recorded");
+        assert!(node.mem.allocs >= 1, "{:?}", node.mem);
+        assert!(node.mem.alloc_bytes >= 4096, "{:?}", node.mem);
+        assert!(node.mem.frees >= 1, "{:?}", node.mem);
+        assert!(node.mem.peak_live_bytes >= 4096, "{:?}", node.mem);
+        assert!(report.counters["mem_allocs"] >= 1);
+        assert!(report.counters["mem_alloc_bytes"] >= 4096);
+        let h = report
+            .histograms
+            .iter()
+            .find(|h| h.name == Hist::AllocSize.name())
+            .expect("alloc size histogram present");
+        assert!(h.count >= 1);
+        global_peaks.push(report.peak_live_bytes);
+        if report.peak_live_bytes >= 4096 {
+            break;
+        }
     }
-    let report = session.finish();
-    let node = report
-        .spans
-        .iter()
-        .find(|s| s.name == "alloc.host")
-        .expect("span recorded");
-    assert!(node.mem.allocs >= 1, "{:?}", node.mem);
-    assert!(node.mem.alloc_bytes >= 4096, "{:?}", node.mem);
-    assert!(node.mem.frees >= 1, "{:?}", node.mem);
-    assert!(node.mem.peak_live_bytes >= 4096, "{:?}", node.mem);
-    assert!(report.counters["mem_allocs"] >= 1);
-    assert!(report.counters["mem_alloc_bytes"] >= 4096);
-    assert!(report.peak_live_bytes >= 4096);
-    let h = report
-        .histograms
-        .iter()
-        .find(|h| h.name == Hist::AllocSize.name())
-        .expect("alloc size histogram present");
-    assert!(h.count >= 1);
+    assert!(
+        global_peaks.last().is_some_and(|&p| p >= 4096),
+        "report peak_live_bytes per session: {global_peaks:?}"
+    );
 }
 
 /// Deterministic allocation script: the same `(name, seed)` performs the
