@@ -209,17 +209,6 @@ USAGE:
   mc3 help
 ";
 
-pub(crate) fn parse_algorithm(s: &str) -> Result<Algorithm, String> {
-    // The vocabulary lives on the enum itself so the server's `/solve`
-    // request field and the CLI can never drift apart.
-    Algorithm::parse_name(s)
-}
-
-/// The canonical CLI spelling of an algorithm (inverse of the parser).
-pub(crate) fn algorithm_name(a: Algorithm) -> &'static str {
-    a.name()
-}
-
 struct ArgStream {
     args: Vec<String>,
     pos: usize,
@@ -307,7 +296,9 @@ impl Cli {
                 let mut chrome = None;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
-                        "--algorithm" => algorithm = parse_algorithm(&s.value_of("--algorithm")?)?,
+                        "--algorithm" => {
+                            algorithm = Algorithm::parse_name(&s.value_of("--algorithm")?)?
+                        }
                         "--no-preprocess" => no_preprocess = true,
                         "--no-refine" => no_refine = true,
                         "--parallel" => parallel = true,
@@ -354,7 +345,9 @@ impl Cli {
                         "--kind" => kind = GeneratorKind::parse(&s.value_of("--kind")?)?,
                         "--queries" => queries = s.parsed("--queries")?,
                         "--seed" => seed = s.parsed("--seed")?,
-                        "--algorithm" => algorithm = parse_algorithm(&s.value_of("--algorithm")?)?,
+                        "--algorithm" => {
+                            algorithm = Algorithm::parse_name(&s.value_of("--algorithm")?)?
+                        }
                         "--parallel" => parallel = true,
                         "--json" => json = Some(s.value_of("--json")?),
                         "--chrome" => chrome = Some(s.value_of("--chrome")?),
@@ -404,7 +397,7 @@ impl Cli {
                         "--queries" => queries = Some(s.parsed("--queries")?),
                         "--seed" => seed = Some(s.parsed("--seed")?),
                         "--algorithm" => {
-                            algorithm = Some(parse_algorithm(&s.value_of("--algorithm")?)?)
+                            algorithm = Some(Algorithm::parse_name(&s.value_of("--algorithm")?)?)
                         }
                         other => return Err(format!("unknown flag '{other}' for bench-gate")),
                     }
@@ -856,7 +849,7 @@ mod tests {
             Algorithm::Mixed,
             Algorithm::LocalGreedy,
         ] {
-            assert_eq!(parse_algorithm(algorithm_name(alg)).unwrap(), alg);
+            assert_eq!(Algorithm::parse_name(alg.name()).unwrap(), alg);
         }
     }
 
@@ -967,8 +960,11 @@ mod tests {
 
     #[test]
     fn algorithm_aliases() {
-        assert_eq!(parse_algorithm("po").unwrap(), Algorithm::PropertyOriented);
-        assert_eq!(parse_algorithm("lg").unwrap(), Algorithm::LocalGreedy);
-        assert!(parse_algorithm("nope").is_err());
+        assert_eq!(
+            Algorithm::parse_name("po").unwrap(),
+            Algorithm::PropertyOriented
+        );
+        assert_eq!(Algorithm::parse_name("lg").unwrap(), Algorithm::LocalGreedy);
+        assert!(Algorithm::parse_name("nope").is_err());
     }
 }

@@ -380,7 +380,7 @@ fn run_workload_spec(
     spec: &mc3_obs::WorkloadSpec,
 ) -> Result<mc3_telemetry::TelemetryReport, String> {
     let kind = GeneratorKind::parse(&spec.kind)?;
-    let algorithm = crate::args::parse_algorithm(&spec.algorithm)?;
+    let algorithm = mc3_solver::Algorithm::parse_name(&spec.algorithm)?;
     let ds = generate_dataset(kind, spec.queries as usize, spec.seed);
     let session = mc3_telemetry::Session::begin();
     Mc3Solver::new()
@@ -438,11 +438,9 @@ fn bench_gate(
             queries: queries.or(prev.map(|s| s.queries)).unwrap_or(400),
             seed: seed.or(prev.map(|s| s.seed)).unwrap_or(7),
             algorithm: algorithm
-                .map(|a| crate::args::algorithm_name(a).to_owned())
+                .map(|a| a.name().to_owned())
                 .or_else(|| prev.map(|s| s.algorithm.clone()))
-                .unwrap_or_else(|| {
-                    crate::args::algorithm_name(mc3_solver::Algorithm::ShortFirst).to_owned()
-                }),
+                .unwrap_or_else(|| mc3_solver::Algorithm::ShortFirst.name().to_owned()),
         };
         let report = run_workload_spec(&spec)?;
         let file = mc3_obs::BaselineFile { spec, report };

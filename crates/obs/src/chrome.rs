@@ -10,10 +10,13 @@
 //! merged, wall times summed), not raw begin/end timestamps, so the
 //! exporter lays events out deterministically: roots are placed one after
 //! another on a single track, and each node's children are packed
-//! left-to-right starting at the parent's own start. For the well-nested
-//! trees telemetry produces (children of one instance never outlast their
-//! parent, so summed child wall ≤ summed parent wall), this preserves
-//! strict parent/child containment — the property tests pin that.
+//! left-to-right starting at the parent's own start. For well-nested
+//! trees (children of one instance never outlast their parent, so summed
+//! child wall ≤ summed parent wall), this preserves strict parent/child
+//! containment — the property tests pin that. A parallel solve's tree is
+//! not well-nested in that sense: the children of `solve_core` ran
+//! concurrently on executor workers, so their summed wall can exceed the
+//! parent's and the packed children run past its end.
 //!
 //! The memory axis rides along twice: every `"X"` event carries its
 //! span's allocation tally in `args` (`mem.allocs`, `mem.alloc_bytes`,

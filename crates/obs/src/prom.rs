@@ -13,10 +13,10 @@
 //! counters (`mem_allocs`, ...) and the `alloc_size_bytes` histogram flow
 //! through the ordinary counter/histogram paths.
 //!
-//! Today the output is written to a file (`mc3 profile --prom FILE`); the
-//! same function is the scrape body for a future serving mode — the text
-//! is a complete, self-describing exposition with `# HELP`/`# TYPE` on
-//! every family.
+//! `mc3 profile --prom FILE` writes it to a file, and `mc3 serve` opens
+//! every `/metrics` scrape body with it, rendered from
+//! `mc3_telemetry::live_report()` — the text is a complete,
+//! self-describing exposition with `# HELP`/`# TYPE` on every family.
 
 use mc3_telemetry::{HistogramData, SpanData, TelemetryReport};
 use std::fmt::Write as _;

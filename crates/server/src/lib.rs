@@ -9,11 +9,12 @@
 //!
 //! * [`server`] — `mc3 serve`: `POST /solve` (dataset JSON in, solve
 //!   report + certificate out), `GET /metrics` (live Prometheus
-//!   exposition: cumulative solver telemetry from the per-request
-//!   [`mc3_telemetry::Aggregator`], plus the request-plane families),
-//!   `GET /healthz`, `GET /buildinfo`. Every request gets its own id,
-//!   propagated into the JSONL event log, and its own
-//!   [`mc3_telemetry::ScopedSession`] span tree. Repeated work is
+//!   exposition: cumulative solver telemetry from
+//!   [`mc3_telemetry::live_report`], span trees of executor tasks
+//!   included, plus the request-plane families), `GET /healthz`,
+//!   `GET /buildinfo`. Every request gets its own id, propagated into
+//!   the JSONL event log, and a handler panic is answered 500. Repeated
+//!   work is
 //!   memoized across requests: a canonical-fingerprint component cache
 //!   ([`mc3_solver::SolveCache`]) plus an exact-body response cache,
 //!   both sized by [`ServerConfig::cache_mb`], and both off when it

@@ -63,15 +63,18 @@ fn worker_loop(rx: &Mutex<Receiver<Job>>) {
             held.recv()
         };
         match job {
-            // A panicking job must not take the worker down with it — a
-            // server that loses a worker per bad request starves itself.
-            // The connection is dropped during unwind, so the client sees
-            // a clean close rather than a hang.
+            // The backstop: a panic inside a request is already answered
+            // 500 by the server's handler wrapper, so only a panic outside
+            // one (connection setup, the write path) reaches here. It must
+            // not take the worker down with it — a server that loses a
+            // worker per bad connection starves itself. The connection is
+            // dropped during unwind, so the client sees a clean close
+            // rather than a hang.
             Ok(job) => {
                 if std::panic::catch_unwind(std::panic::AssertUnwindSafe(job)).is_err() {
                     mc3_obs::warn(
                         "server.pool",
-                        "request handler panicked; its connection was dropped",
+                        "connection job panicked outside a request; its connection was dropped",
                         &[],
                     );
                 }

@@ -1,5 +1,5 @@
-//! The `mc3 serve` HTTP server: request-scoped tracing feeding a
-//! process-global aggregate, a scrapeable `/metrics` endpoint, and a
+//! The `mc3 serve` HTTP server: span trees feeding the process-wide
+//! telemetry aggregate, a scrapeable `/metrics` endpoint, and a
 //! structured access log.
 //!
 //! # Request lifecycle
@@ -13,22 +13,24 @@
 //!    [`mc3_obs::request_id_scope`] so every event-log line the request
 //!    emits carries it,
 //! 2. takes an in-flight guard on [`RequestMetrics`],
-//! 3. for `/solve` (and per item of `/solve-batch`), wraps the solver
-//!    call in a [`mc3_telemetry::ScopedSession`] — the request's span
-//!    tree diverts into a thread-local buffer instead of the global
-//!    finished list — and [`absorb`](mc3_telemetry::Aggregator::absorb)s
-//!    the finished tree into the global [`Aggregator`]. The solve itself
-//!    runs `parallel(true)` on the shared [`mc3_solver::executor`];
-//!    executor workers capture and discard their own span roots per
-//!    task, so no cross-request telemetry bleeds into this request's
-//!    tree,
+//! 3. dispatches the request under `catch_unwind`: a handler panic (a
+//!    solve task's panic re-raised by the executor, say) is answered
+//!    500, counted in the 5xx cell and logged as an `error` event, and
+//!    the connection is closed,
 //! 4. records route/status/latency into [`RequestMetrics`] and emits one
 //!    [`mc3_obs::access`] event.
 //!
+//! A `/solve` (and each `/solve-batch` item) runs `parallel(true)` on the
+//! shared [`mc3_solver::executor`]. Its `solve` span root merges into the
+//! process-wide telemetry aggregate when it closes, and the executor
+//! files each component task's roots under that request's
+//! `solve/solve_core`, so the aggregate holds the whole tree: no
+//! per-request capture, no second store.
+//!
 //! `/metrics` therefore serves five concatenated sections: the solver
-//! registry rendered from the aggregator's cumulative report
-//! ([`mc3_obs::prometheus_text`]), the constant
-//! [`mc3_obs::build_info_text`] gauge, the live request-plane
+//! registry rendered from the session's live report
+//! ([`mc3_telemetry::live_report`], [`mc3_obs::prometheus_text`]), the
+//! constant [`mc3_obs::build_info_text`] gauge, the live request-plane
 //! families ([`RequestMetrics::render`]), the cache occupancy
 //! families, and the live executor families.
 //!
@@ -52,7 +54,6 @@ use mc3_core::json::Json;
 use mc3_core::StableHasher;
 use mc3_obs::{RequestMetrics, Route};
 use mc3_solver::{executor, Algorithm, ByteLru, Mc3Solver, SolveCache};
-use mc3_telemetry::Aggregator;
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -126,8 +127,6 @@ pub struct ServerState {
     /// Request-plane families (counters, in-flight gauge, latency
     /// histograms).
     pub metrics: RequestMetrics,
-    /// Cumulative per-span solver telemetry across all requests.
-    pub aggregator: Aggregator,
     request_seq: AtomicU64,
     nonce: u64,
     solve_cache: Option<Arc<SolveCache>>,
@@ -140,7 +139,6 @@ impl ServerState {
         let caching = cfg.cache_mb > 0;
         ServerState {
             metrics: RequestMetrics::new(),
-            aggregator: Aggregator::new(),
             request_seq: AtomicU64::new(0),
             nonce: mc3_telemetry::monotonic_ns(),
             solve_cache: caching.then(|| Arc::new(SolveCache::with_capacity_mb(cfg.cache_mb))),
@@ -301,8 +299,8 @@ fn accept_loop(
         Err(e) => return Err(format!("cannot spawn server workers: {e}")),
     };
     // The server-lifetime telemetry session: opens the recording gate so
-    // worker-thread ScopedSessions capture real span trees. Finished (and
-    // discarded) only when the accept loop ends.
+    // every request's span tree lands in the aggregate /metrics renders.
+    // Finished (and discarded) only when the accept loop ends.
     let session = mc3_telemetry::Session::begin();
     let result = loop {
         let conn = listener.accept();
@@ -341,9 +339,9 @@ fn accept_loop(
             Err(e) => break Err(format!("accept failed: {e}")),
         }
     };
-    drop(pool); // join workers before closing the telemetry session
-                // The session-level report is deliberately unused: per-request trees
-                // already live in the aggregator, which is what /metrics serves.
+    // Join workers before closing the telemetry session. Its report is
+    // unused: /metrics served the aggregate live.
+    drop(pool);
     session.finish();
     result
 }
@@ -369,28 +367,60 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
             Err(_) => return,   // idle timeout or malformed framing
         };
         let close = req.wants_close();
-        let start = mc3_telemetry::monotonic_ns();
         let request_id = state.next_request_id();
         let _rid = mc3_obs::request_id_scope(&request_id);
         let _inflight = state.metrics.inflight_guard();
-        let (route, response) = dispatch(state, &req, &request_id);
-        let wire = encode_response(response.status, response.content_type, &response.body);
-        // Observe BEFORE writing: a client that has read its response and
-        // then scrapes /metrics must already see this request counted.
-        let latency_ns = mc3_telemetry::monotonic_ns().saturating_sub(start);
-        state.metrics.observe(route, response.status, latency_ns);
-        mc3_obs::access(
-            &req.method,
-            route.as_str(),
-            response.status,
-            latency_ns,
-            wire.len() as u64,
-        );
+        let (wire, panicked) = answer(state, &req, || dispatch(state, &req, &request_id));
         let written = writer.write_all(&wire).and_then(|()| writer.flush());
-        if close || written.is_err() {
+        if close || panicked || written.is_err() {
             return;
         }
     }
+}
+
+/// Runs `handle` for `req` and returns the response's wire bytes, plus
+/// whether the handler panicked. A panic becomes a 500 with a JSON
+/// `error` body and an `error` event (the request id rides on the
+/// thread's scope), and the caller closes the connection rather than
+/// serve more requests after a failure it cannot explain. Either way the
+/// response is observed into the request metrics and the access log
+/// **before** the caller writes it: a client that has read its response
+/// and then scrapes `/metrics` must already see this request counted.
+fn answer(
+    state: &ServerState,
+    req: &Request,
+    handle: impl FnOnce() -> (Route, HandlerResponse),
+) -> (Vec<u8>, bool) {
+    let start = mc3_telemetry::monotonic_ns();
+    let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(handle));
+    let panicked = outcome.is_err();
+    let (route, response) = outcome.unwrap_or_else(|payload| {
+        let what = payload
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_owned())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        mc3_obs::error(
+            "server",
+            "request handler panicked",
+            &[("panic", mc3_obs::Value::Str(what))],
+        );
+        (
+            route_of(req.path()),
+            error_response(500, "internal error: the request handler panicked"),
+        )
+    });
+    let wire = encode_response(response.status, response.content_type, &response.body);
+    let latency_ns = mc3_telemetry::monotonic_ns().saturating_sub(start);
+    state.metrics.observe(route, response.status, latency_ns);
+    mc3_obs::access(
+        &req.method,
+        route.as_str(),
+        response.status,
+        latency_ns,
+        wire.len() as u64,
+    );
+    (wire, panicked)
 }
 
 struct HandlerResponse {
@@ -547,7 +577,7 @@ fn exec_metrics_text(state: &ServerState) -> String {
 
 fn handle_metrics(state: &ServerState) -> HandlerResponse {
     let (version, git) = build_ids();
-    let mut body = mc3_obs::prometheus_text(&state.aggregator.report());
+    let mut body = mc3_obs::prometheus_text(&mc3_telemetry::live_report());
     body.push_str(&mc3_obs::build_info_text(version, Some(git)));
     body.push_str(&state.metrics.render());
     body.push_str(&cache_metrics_text(state));
@@ -631,11 +661,8 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
 /// `request_id`/`status`, which the callers add). `Err` carries the HTTP
 /// status and message.
 ///
-/// Request-scoped tracing: the solve's span tree is captured on this
-/// worker thread and merged into the global aggregate. The solve runs
-/// `parallel(true)` on the shared executor — safe for the per-request
-/// scope because executor workers capture and discard their own span
-/// roots per task, so only this thread's `solve` tree lands here.
+/// The solve runs `parallel(true)` on the shared executor; its span tree,
+/// component tasks included, merges into the telemetry aggregate.
 fn solve_item(
     state: &ServerState,
     item: Json,
@@ -645,16 +672,13 @@ fn solve_item(
         .and_then(|f| f.into_dataset().map_err(|e| e.to_string()))
         .map_err(|e| (400, format!("bad dataset: {e}")))?;
     drop(item); // the document tree is dead weight during the solve
-    let scope = mc3_telemetry::ScopedSession::begin();
     let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(true);
     if let Some(cache) = &state.solve_cache {
         solver = solver.cache(Arc::clone(cache));
     }
-    let solved = solver.solve_report(&ds.instance);
-    let roots = scope.finish();
-    state.aggregator.absorb(&roots);
-
-    let report = solved.map_err(|e| (422, format!("solve failed: {e}")))?;
+    let report = solver
+        .solve_report(&ds.instance)
+        .map_err(|e| (422, format!("solve failed: {e}")))?;
     let cert = mc3_core::Certificate::for_solution(&ds.instance, &report.solution)
         .map_err(|e| (500, format!("certificate construction failed: {e}")))?;
     cert.verify(&ds.instance, &report.solution)
@@ -769,5 +793,39 @@ mod tests {
             assert_eq!(cached.restamped(id), json_response(200, &doc(id)).body);
         }
         assert!(CachedResponse::new(&first, "0002").is_none());
+    }
+
+    #[test]
+    fn a_panicking_handler_is_answered_500_and_counted() {
+        let state = ServerState::new(&ServerConfig {
+            addr: "127.0.0.1:0".to_owned(),
+            workers: 1,
+            cache_mb: 0,
+            solve_threads: 0,
+        });
+        let req = Request {
+            method: "POST".to_owned(),
+            target: "/solve?algorithm=general".to_owned(),
+            headers: Vec::new(),
+            body: Vec::new(),
+        };
+        let (wire, panicked) = answer(&state, &req, || panic!("solver task exploded"));
+        assert!(panicked);
+        let text = String::from_utf8_lossy(&wire);
+        assert!(text.starts_with("HTTP/1.1 500 "), "{text}");
+        assert!(text.contains("\"error\""), "{text}");
+        assert_eq!(state.metrics.requests_total(Route::Solve, 500), 1);
+        assert!(state
+            .metrics
+            .render()
+            .contains("mc3_requests_total{route=\"solve\",status=\"5xx\"} 1"));
+
+        // A handler that returns is answered as it says, connection kept.
+        let (wire, panicked) = answer(&state, &req, || {
+            (Route::Solve, error_response(422, "solve failed"))
+        });
+        assert!(!panicked);
+        assert!(String::from_utf8_lossy(&wire).starts_with("HTTP/1.1 422 "));
+        assert_eq!(state.metrics.requests_total(Route::Solve, 500), 1);
     }
 }

@@ -6,6 +6,7 @@
 //! Everything lives in ONE `#[test]` because the server holds the
 //! process-exclusive telemetry session for its whole lifetime —
 //! concurrent servers in one test binary would serialize on it anyway.
+//! A second, cache-less server starts only after the first shut down.
 
 use mc3_server::{LoadgenConfig, Server, ServerConfig};
 use std::io::BufReader;
@@ -26,7 +27,11 @@ fn request(
 }
 
 fn dataset_body(queries: usize, seed: u64) -> Vec<u8> {
-    let ds = mc3_workload::generate_dataset(mc3_workload::GeneratorKind::Synthetic, queries, seed);
+    kind_body(mc3_workload::GeneratorKind::Synthetic, queries, seed)
+}
+
+fn kind_body(kind: mc3_workload::GeneratorKind, queries: usize, seed: u64) -> Vec<u8> {
+    let ds = mc3_workload::generate_dataset(kind, queries, seed);
     let mut body = Vec::new();
     mc3_workload::write_dataset_json(&ds, &mut body).expect("serialize dataset");
     body
@@ -41,6 +46,17 @@ fn requests_total(metrics: &str, route: &str, status: &str) -> u64 {
         .find_map(|l| l.strip_prefix(needle.as_str()))
         .and_then(|v| v.parse().ok())
         .unwrap_or_else(|| panic!("family {needle} missing from:\n{metrics}"))
+}
+
+/// `mc3_span_instances_total{span="..."}` value from an exposition body
+/// (0 when the span path is absent).
+fn span_instances(metrics: &str, path: &str) -> u64 {
+    let needle = format!("mc3_span_instances_total{{span=\"{path}\"}} ");
+    metrics
+        .lines()
+        .find_map(|l| l.strip_prefix(needle.as_str()))
+        .and_then(|v| v.parse().ok())
+        .unwrap_or(0)
 }
 
 /// Value of an unlabeled family line (`name value`).
@@ -130,8 +146,8 @@ fn serving_plane_end_to_end() {
     }
     let solves_before = requests_total(&m1, "solve", "2xx");
     assert!(solves_before >= 1);
-    // The captured request-scoped span tree reached the aggregator: the
-    // solver's root span shows up in the cumulative exposition.
+    // The request's span tree reached the aggregate: the solver's root
+    // span shows up in the cumulative exposition.
     assert!(
         m1.contains("mc3_span_wall_nanoseconds_total{span=\"solve\"}"),
         "aggregated solve span missing from:\n{m1}"
@@ -305,5 +321,33 @@ fn serving_plane_end_to_end() {
     .expect_err("0ms SLO cannot pass");
     assert!(err.contains("loadgen: SLO FAIL"), "err: {err}");
 
+    server.shutdown().expect("clean shutdown");
+
+    // --- a cache-less server: executor tasks' spans nest under solve_core ---
+    let server = Server::start(&ServerConfig {
+        addr: "127.0.0.1:0".to_owned(),
+        workers: 2,
+        cache_mb: 0,
+        solve_threads: 0,
+    })
+    .expect("cache-less server start");
+    let addr = server.local_addr();
+    let body = kind_body(mc3_workload::GeneratorKind::DuplicateHeavy, 400, 1);
+    let (status, body) = request(addr, "POST", "/solve?algorithm=general", Some(&body));
+    assert_eq!(status, 200, "solve failed: {body}");
+    let doc = mc3_core::json::parse(&body).expect("solve response json");
+    let components = doc
+        .get("components")
+        .and_then(|v| v.as_u64())
+        .expect("components field");
+    assert!(components > 1, "body must split into components");
+    let (status, metrics) = request(addr, "GET", "/metrics", None);
+    assert_eq!(status, 200);
+    assert_eq!(span_instances(&metrics, "solve"), 1, "{metrics}");
+    assert_eq!(
+        span_instances(&metrics, "solve/solve_core/general.solve"),
+        components,
+        "every component's general.solve must nest under the request's solve_core"
+    );
     server.shutdown().expect("clean shutdown");
 }

@@ -38,15 +38,13 @@
 //! [`steals_total`], [`thread_spawns_total`], [`queue_depth`]) and
 //! mirror them into the gated registry (`exec_tasks`, `exec_steals`,
 //! `exec_park_ns`, and the `exec_wait_ns` queue-latency histogram) so
-//! `mc3 serve` exposes them on `/metrics`. Each task runs inside its own
-//! [`mc3_telemetry::ScopedSession`] whose captured span roots are
-//! *discarded*: the workers live as long as the process, and under the
-//! server's lifetime session their span roots would otherwise pile up
-//! in the global finished list forever. Counters and histograms are
-//! process-global atomics, so solver instrumentation still aggregates;
-//! only worker-side span *trees* are traded away (the request/CLI
-//! thread's own `solve` → `setup`/`preprocess`/`solve_core` tree is
-//! untouched).
+//! `mc3 serve` exposes them on `/metrics`. While a session records,
+//! [`scope`] captures the submitting thread's open-span path once
+//! ([`mc3_telemetry::SpanParent`]) and every task adopts it, so the span
+//! roots a task closes on a worker file under the submitter's spans —
+//! a parallel solve's `general.solve`, `setcover.*` and `dinic.*` spans
+//! nest under its `solve_core` exactly as in an inline solve. With the
+//! gate off the capture is skipped and nothing is allocated.
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -191,13 +189,7 @@ fn worker_loop(pool: &'static Pool, me: usize) {
             // audit:allow(no-relaxed-atomics) reviewed: monotonic diagnostic counter
             TASKS.fetch_add(1, Ordering::Relaxed);
             mc3_telemetry::count(mc3_telemetry::Counter::ExecTasks, 1);
-            // Capture-and-discard this task's span roots: worker threads
-            // outlive every request, and filing roots into the global
-            // finished list under a server-lifetime session would grow
-            // it without bound. See the module docs.
-            let task_scope = mc3_telemetry::ScopedSession::begin();
             (task.job)();
-            drop(task_scope.finish());
         } else {
             let parked_at = mc3_telemetry::monotonic_ns();
             if let Ok(guard) = pool.idle.lock() {
@@ -340,6 +332,9 @@ pub struct Scope<'scope> {
     /// the latch is a local of `scope`, which provably outlives every
     /// use (it drains the count before returning).
     latch: *const Latch,
+    /// The submitter's open-span path, captured once per scope while a
+    /// telemetry session records; each task files its span roots under it.
+    parent: Option<mc3_telemetry::SpanParent>,
     /// Ties the borrow lifetime to the scope (invariantly) so spawned
     /// closures may borrow from the caller's frame.
     _marker: std::marker::PhantomData<&'scope mut &'scope ()>,
@@ -360,13 +355,17 @@ impl<'scope> Scope<'scope> {
             state.outstanding += 1;
         }
         let latch_ptr = LatchPtr(self.latch);
+        let parent = self.parent.clone();
         // Wrap the user closure so completion (or panic) always reaches
         // the latch, then erase its borrow lifetime for the queue.
         let job: Box<dyn FnOnce() + Send + 'scope> = Box::new(move || {
             // Bind the wrapper itself so closure capture takes the `Send`
             // struct, not its raw-pointer field.
             let latch_ptr = latch_ptr;
-            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f));
+            let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                let _parent = parent.as_ref().map(mc3_telemetry::SpanParent::adopt);
+                f();
+            }));
             // SAFETY: `scope` does not return until the latch counts
             // this task finished, so the latch (owned by `scope`'s
             // stack frame) is alive for every dereference here.
@@ -401,8 +400,10 @@ impl<'scope> Scope<'scope> {
 /// Runs `f` with a [`Scope`] bound to the shared pool and blocks until
 /// every task it spawned has completed. If any task panicked, the first
 /// panic payload is resumed on this thread — after all sibling tasks
-/// finished, so no task is ever abandoned mid-queue. The pool is
-/// created on first use, sized by [`configure_threads`].
+/// finished, so no task is ever abandoned mid-queue. While a telemetry
+/// session records, the span roots the tasks close file under this
+/// thread's open spans. The pool is created on first use, sized by
+/// [`configure_threads`].
 pub fn scope<'env, F, R>(f: F) -> R
 where
     F: FnOnce(&Scope<'env>) -> R,
@@ -412,6 +413,7 @@ where
     let scope = Scope {
         pool,
         latch: &latch,
+        parent: mc3_telemetry::SpanParent::current(),
         _marker: std::marker::PhantomData,
     };
     // `f` itself may panic after spawning tasks; those tasks still

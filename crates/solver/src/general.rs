@@ -47,40 +47,13 @@ impl Default for LpLimits {
 }
 
 /// Solves the residual problem over `queries` with Algorithm 3's core;
-/// returns the classifier ids to add to the solution.
-pub fn solve_general(
-    ws: &WorkState<'_>,
-    queries: &[usize],
-    strategy: WscStrategy,
-    lp_limits: LpLimits,
-) -> Result<Vec<ClassifierId>> {
-    solve_general_with(ws, queries, strategy, lp_limits, true)
-}
-
-/// [`solve_general`] with the reverse-delete refinement toggleable —
-/// `refine = false` runs the paper's Algorithm 3 exactly as published
-/// (used by the preprocessing-effect experiments, Fig. 3e).
-pub fn solve_general_with(
-    ws: &WorkState<'_>,
-    queries: &[usize],
-    strategy: WscStrategy,
-    lp_limits: LpLimits,
-    refine: bool,
-) -> Result<Vec<ClassifierId>> {
-    solve_general_scratch(
-        ws,
-        queries,
-        strategy,
-        lp_limits,
-        refine,
-        &mut ReductionScratch::new(),
-    )
-}
-
-/// [`solve_general_with`] drawing the reduction's buffers from `scratch` and
-/// recycling them on the way out — callers solving many components (or many
-/// rounds) reuse one scratch so the reduction allocates nothing after the
-/// first call.
+/// returns the classifier ids to add to the solution. `refine = false`
+/// skips the reverse-delete refinement and runs the paper's Algorithm 3
+/// exactly as published (the preprocessing-effect experiments, Fig. 3e).
+/// The reduction draws its buffers from `scratch` and recycles them on
+/// the way out, so callers solving many components (or many rounds)
+/// reuse one scratch and the reduction allocates nothing after the first
+/// call.
 pub fn solve_general_scratch(
     ws: &WorkState<'_>,
     queries: &[usize],
@@ -203,6 +176,23 @@ mod tests {
     use super::*;
     use mc3_core::{ClassifierUniverse, Instance, Mc3Error, PropSet, Weights, WeightsBuilder};
 
+    /// Algorithm 3 with refinement, default LP limits and a fresh scratch.
+    fn solve(
+        ws: &WorkState<'_>,
+        queries: &[usize],
+        strategy: WscStrategy,
+    ) -> Result<Vec<ClassifierId>> {
+        let mut scratch = ReductionScratch::new();
+        solve_general_scratch(
+            ws,
+            queries,
+            strategy,
+            LpLimits::default(),
+            true,
+            &mut scratch,
+        )
+    }
+
     fn ws_for(instance: &Instance) -> WorkState<'_> {
         let u = ClassifierUniverse::build(instance);
         WorkState::new(instance, u)
@@ -238,8 +228,7 @@ mod tests {
             WscStrategy::PrimalDualOnly,
             WscStrategy::LpRoundingOnly,
         ] {
-            let ids =
-                solve_general(&ws, &all_queries(&instance), strategy, LpLimits::default()).unwrap();
+            let ids = solve(&ws, &all_queries(&instance), strategy).unwrap();
             let sol = mc3_core::Solution::from_ids(&ws.universe, ids.iter().copied());
             sol.verify(&instance).unwrap();
             // all strategies cover; Combined must reach the optimum here
@@ -273,13 +262,7 @@ mod tests {
             .build();
         let instance = Instance::new(vec![vec![0u32, 1, 2]], w).unwrap();
         let ws = ws_for(&instance);
-        let ids = solve_general(
-            &ws,
-            &all_queries(&instance),
-            WscStrategy::Combined,
-            LpLimits::default(),
-        )
-        .unwrap();
+        let ids = solve(&ws, &all_queries(&instance), WscStrategy::Combined).unwrap();
         assert_eq!(cost_of(&ws, &ids), 5); // XY(3) + Z(2)
     }
 
@@ -290,7 +273,7 @@ mod tests {
         let xy = ws.universe.id_of(&PropSet::from_ids([0u32, 1])).unwrap();
         ws.select(xy);
         let alive = ws.alive_query_indices();
-        let ids = solve_general(&ws, &alive, WscStrategy::Combined, LpLimits::default()).unwrap();
+        let ids = solve(&ws, &alive, WscStrategy::Combined).unwrap();
         // only z needed: Z (2) is among the cheapest completions
         assert_eq!(cost_of(&ws, &ids), 2);
     }
@@ -300,13 +283,7 @@ mod tests {
         let w = WeightsBuilder::new().classifier([0u32], 1u64).build();
         let instance = Instance::new(vec![vec![0u32], vec![1u32, 2]], w).unwrap();
         let ws = ws_for(&instance);
-        let err = solve_general(
-            &ws,
-            &all_queries(&instance),
-            WscStrategy::Combined,
-            LpLimits::default(),
-        )
-        .unwrap_err();
+        let err = solve(&ws, &all_queries(&instance), WscStrategy::Combined).unwrap_err();
         assert_eq!(err, Mc3Error::Uncoverable { query_index: 1 });
     }
 
@@ -316,7 +293,7 @@ mod tests {
         let mut ws = ws_for(&instance);
         let xy = ws.universe.id_of(&PropSet::from_ids([0u32, 1])).unwrap();
         ws.select(xy);
-        let ids = solve_general(&ws, &[], WscStrategy::Combined, LpLimits::default()).unwrap();
+        let ids = solve(&ws, &[], WscStrategy::Combined).unwrap();
         assert!(ids.is_empty());
     }
 
@@ -340,9 +317,7 @@ mod tests {
                 WscStrategy::LpRoundingOnly,
                 WscStrategy::Combined,
             ] {
-                let ids =
-                    solve_general(&ws, &all_queries(&instance), strategy, LpLimits::default())
-                        .unwrap();
+                let ids = solve(&ws, &all_queries(&instance), strategy).unwrap();
                 let sol = mc3_core::Solution::from_ids(&ws.universe, ids.iter().copied());
                 sol.verify(&instance).unwrap();
             }

@@ -9,8 +9,9 @@
 //! primitives and one hard rule:
 //!
 //! * **Spans** ([`span`], [`timed_span`]) — hierarchical wall-time
-//!   regions kept on a thread-local stack; worker-thread spans surface as
-//!   their own roots and are merged by name at report time.
+//!   regions kept on a thread-local stack; every closed root merges by
+//!   name into one process-wide aggregate, and executor workers file
+//!   theirs under the submitting thread's open spans ([`SpanParent`]).
 //! * **Counters** ([`Counter`], [`count`], [`span_add`]) — a closed
 //!   registry of monotonic `AtomicU64`s, so parallel and sequential
 //!   solves of one instance report identical totals.
@@ -47,13 +48,11 @@
 //! assert_eq!(report.counters["dinic_phases"], 3);
 //! ```
 
-mod aggregate;
 mod counters;
 mod memprof;
 mod report;
 mod spans;
 
-pub use aggregate::Aggregator;
 pub use counters::{
     bucket_bounds, bucket_of, count, hist_count, record, total, Counter, Hist, COUNTER_NAMES,
     HIST_BUCKETS, HIST_NAMES,
@@ -61,7 +60,8 @@ pub use counters::{
 pub use memprof::peak_rss_bytes;
 pub use report::{HistogramData, SpanData, SpanMem, TelemetryReport, REPORT_VERSION};
 pub use spans::{
-    current_span_path, open_span_depth, span, span_add, timed_span, SpanGuard, TimedSpan,
+    current_span_path, open_span_depth, span, span_add, timed_span, AdoptedParent, SpanGuard,
+    SpanParent, TimedSpan,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -97,12 +97,12 @@ pub fn monotonic_ns() -> u64 {
 /// An exclusive recording session.
 ///
 /// [`Session::begin`] takes a process-wide lock, zeroes all counters,
-/// histograms and pending spans, and opens the gate; [`Session::finish`]
-/// closes the gate and returns the [`TelemetryReport`]. Dropping a
-/// session without finishing it still closes the gate. Because state is
-/// global, concurrent would-be sessions block on `begin` until the
-/// current one ends — recording is meant for one solve/profile run at a
-/// time, not for overlapping measurements.
+/// histograms and the span aggregate, and opens the gate;
+/// [`Session::finish`] closes the gate and returns the [`TelemetryReport`].
+/// Dropping a session without finishing it still closes the gate. Because
+/// state is global, concurrent would-be sessions block on `begin` until
+/// the current one ends — recording is meant for one solve/profile run at
+/// a time, not for overlapping measurements.
 pub struct Session {
     _lock: MutexGuard<'static, ()>,
 }
@@ -112,7 +112,7 @@ impl Session {
     pub fn begin() -> Session {
         let lock = SESSION.lock().unwrap_or_else(|p| p.into_inner());
         counters::reset();
-        spans::take_finished();
+        spans::aggregate().clear();
         memprof::reset();
         // Pre-grow this thread's span stack while the gate is still off,
         // so deep span nesting never shows up as a tracked allocation.
@@ -125,7 +125,8 @@ impl Session {
     /// readable via [`total`] until the next `begin` resets them.
     pub fn finish(self) -> TelemetryReport {
         ENABLED.store(false, Ordering::SeqCst);
-        report::gather()
+        let roots = std::mem::take(&mut *spans::aggregate());
+        report::assemble(roots)
     }
 }
 
@@ -135,57 +136,13 @@ impl Drop for Session {
     }
 }
 
-/// A per-request recording scope *inside* a long-lived [`Session`].
-///
-/// A server cannot take one `Session` per request — `begin` zeroes the
-/// global counters and would destroy the cumulative totals `/metrics`
-/// depends on. Instead the server holds **one** session for its whole
-/// lifetime (keeping the gate open) and wraps each request in a
-/// `ScopedSession` on the worker thread handling it: while the scope is
-/// live, span roots closed on this thread divert into a thread-local
-/// buffer instead of the global finished list, and
-/// [`finish`](ScopedSession::finish) returns them aggregated — ready to
-/// [`absorb`](Aggregator::absorb) into the global [`Aggregator`] and to
-/// render as this request's own trace.
-///
-/// Scopes are strictly per-thread (the type is `!Send`) and must not
-/// nest on one thread: beginning a new scope discards any unfinished
-/// captured roots from the previous one. Global counters and histograms
-/// keep accumulating process-wide regardless of scopes; only the span
-/// *trees* are diverted. With no outer session recording, a scope is a
-/// no-op that finishes empty.
-pub struct ScopedSession {
-    active: bool,
-    /// Capture buffers are thread-local; moving the scope across threads
-    /// would disarm the wrong thread's buffer.
-    _not_send: std::marker::PhantomData<*const ()>,
-}
-
-impl ScopedSession {
-    /// Arms root capture on this thread.
-    pub fn begin() -> ScopedSession {
-        spans::begin_capture();
-        ScopedSession {
-            active: true,
-            _not_send: std::marker::PhantomData,
-        }
-    }
-
-    /// Disarms capture and returns this scope's aggregated span roots
-    /// (same-name roots merged, exactly like a session-level report).
-    pub fn finish(mut self) -> Vec<SpanData> {
-        self.active = false;
-        report::aggregate_raw(spans::take_captured())
-    }
-}
-
-impl Drop for ScopedSession {
-    fn drop(&mut self) {
-        if self.active {
-            // Abandoned scope (handler panicked or bailed early): discard
-            // its partial capture so it cannot leak into the next request
-            // served by this thread.
-            drop(spans::take_captured());
-        }
-    }
+/// The report of everything recorded so far, taken without ending the
+/// session: the span aggregate as it stands plus the current counter,
+/// histogram and memory totals. A server that holds one session for its
+/// lifetime renders `/metrics` from this; the totals only grow while the
+/// session lasts, as a Prometheus scraper assumes.
+pub fn live_report() -> TelemetryReport {
+    // Bound first, so the lock is released before assembly reads the rest.
+    let roots = spans::aggregate().clone();
+    report::assemble(roots)
 }

@@ -1,16 +1,17 @@
 //! Aggregated telemetry snapshots: JSON export and the flame-style dump.
 //!
 //! A [`TelemetryReport`] is what [`Session::finish`](crate::Session::finish)
-//! returns: same-name sibling spans merged (wall times and counters
-//! summed, instance counts kept), every registered counter — zeros
-//! included — and every registered histogram. The JSON schema is
+//! and [`live_report`](crate::live_report) return: same-name sibling spans
+//! merged (wall times and counters summed, instance counts kept) by the
+//! one merge every closed root goes through, [`merge_into`], every
+//! registered counter — zeros included — and every registered histogram. The JSON schema is
 //! versioned and strict: [`TelemetryReport::from_json`] rejects a report
 //! that is missing any *registered* counter or histogram name, which is
 //! the schema-drift guard CI leans on (see `docs/observability.md`).
 
 use crate::counters::{self, Counter, Hist, COUNTER_NAMES, HIST_NAMES};
 use crate::memprof;
-use crate::spans::{self, RawSpan};
+use crate::spans::RawSpan;
 use mc3_core::json::Json;
 use mc3_core::u32_of;
 use std::collections::BTreeMap;
@@ -38,8 +39,10 @@ pub struct SpanMem {
     pub peak_live_bytes: u64,
     /// Minimum allocation count over merged instances — the steady-state
     /// signal: a kernel whose warm instances are allocation-free reads 0
-    /// here even when its first instance grew buffers. (`u64::MAX` is
-    /// never emitted: a node always merges at least one instance.)
+    /// here even when its first instance grew buffers. (`u64::MAX` marks
+    /// a node with no closed instance yet — `count` 0, its span still
+    /// open while roots filed under it closed. A finished session never
+    /// reports one; a [`live_report`](crate::live_report) can.)
     pub min_instance_allocs: u64,
 }
 
@@ -110,12 +113,16 @@ pub struct TelemetryReport {
     pub peak_rss_bytes: Option<u64>,
 }
 
-fn merge_into(siblings: &mut Vec<SpanData>, raw: RawSpan) {
-    let idx = match siblings.iter().position(|s| s.name == raw.name) {
-        Some(i) => i,
+/// The sibling named `name`, appended empty when absent. An empty node
+/// (`count` 0) stands for a span that is still open on some thread while
+/// roots filed under it have already closed; its own instance fills it
+/// when it closes.
+fn slot<'a>(siblings: &'a mut Vec<SpanData>, name: &str) -> Option<&'a mut SpanData> {
+    match siblings.iter().position(|s| s.name == name) {
+        Some(i) => siblings.get_mut(i),
         None => {
             siblings.push(SpanData {
-                name: raw.name.to_owned(),
+                name: name.to_owned(),
                 mem: SpanMem {
                     // Identity for the `min` fold below; overwritten by
                     // the first merged instance.
@@ -124,17 +131,45 @@ fn merge_into(siblings: &mut Vec<SpanData>, raw: RawSpan) {
                 },
                 ..SpanData::default()
             });
-            siblings.len() - 1
+            siblings.last_mut()
         }
-    };
-    let Some(slot) = siblings.get_mut(idx) else {
+    }
+}
+
+/// Merges one closed raw span into the node at `path` below `siblings`
+/// (the top level when `path` is empty): wall times, counts, counters
+/// and memory tallies sum, per-instance peaks take the max, and the
+/// steady-state `min_instance_allocs` takes the min. This is the one
+/// merge every closed root goes through. It borrows `raw`, so a caller
+/// holding a lock can free the raw tree after releasing it.
+pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, path: &[&str], raw: &RawSpan) {
+    let mut level = siblings;
+    for name in path {
+        let Some(node) = slot(level, name) else {
+            return;
+        };
+        level = &mut node.children;
+    }
+    let Some(slot) = slot(level, raw.name) else {
         return;
+    };
+    // A node that roots from other threads filed under before it closed
+    // takes its own instance's child order, so it reads like the tree of
+    // an inline run.
+    let order: Vec<&'static str> = if slot.count == 0 && !slot.children.is_empty() {
+        raw.children.iter().map(|c| c.name).collect()
+    } else {
+        Vec::new()
     };
     slot.wall_ns = slot.wall_ns.saturating_add(raw.wall_ns);
     slot.count += 1;
-    for (name, v) in raw.counters {
-        let cell = slot.counters.entry(name.to_owned()).or_insert(0);
-        *cell = cell.saturating_add(v);
+    for &(name, v) in &raw.counters {
+        match slot.counters.get_mut(name) {
+            Some(cell) => *cell = cell.saturating_add(v),
+            None => {
+                slot.counters.insert(name.to_owned(), v);
+            }
+        }
     }
     slot.mem.allocs = slot.mem.allocs.saturating_add(raw.mem.allocs);
     slot.mem.alloc_bytes = slot.mem.alloc_bytes.saturating_add(raw.mem.alloc_bytes);
@@ -142,80 +177,23 @@ fn merge_into(siblings: &mut Vec<SpanData>, raw: RawSpan) {
     slot.mem.free_bytes = slot.mem.free_bytes.saturating_add(raw.mem.free_bytes);
     slot.mem.peak_live_bytes = slot.mem.peak_live_bytes.max(raw.mem.peak_live_bytes);
     slot.mem.min_instance_allocs = slot.mem.min_instance_allocs.min(raw.mem.allocs);
-    for child in raw.children {
-        merge_into(&mut slot.children, child);
+    for child in &raw.children {
+        merge_into(&mut slot.children, &[], child);
+    }
+    if !order.is_empty() {
+        slot.children.sort_by_key(|c| {
+            order
+                .iter()
+                .position(|n| *n == c.name)
+                .unwrap_or(order.len())
+        });
     }
 }
 
-/// Folds one already-aggregated span tree into a sibling list with the
-/// exact semantics of [`merge_into`]: wall times, counts, counters and
-/// memory tallies sum; per-instance peaks take the max; the steady-state
-/// `min_instance_allocs` takes the min. This is the merge the lock-striped
-/// [`Aggregator`](crate::Aggregator) runs per absorbed request, so the
-/// live `/metrics` totals equal what one giant session would have
-/// reported.
-pub(crate) fn merge_span_data(siblings: &mut Vec<SpanData>, incoming: &SpanData) {
-    let idx = match siblings.iter().position(|s| s.name == incoming.name) {
-        Some(i) => i,
-        None => {
-            siblings.push(SpanData {
-                name: incoming.name.clone(),
-                mem: SpanMem {
-                    min_instance_allocs: u64::MAX,
-                    ..SpanMem::default()
-                },
-                ..SpanData::default()
-            });
-            siblings.len() - 1
-        }
-    };
-    let Some(slot) = siblings.get_mut(idx) else {
-        return;
-    };
-    slot.wall_ns = slot.wall_ns.saturating_add(incoming.wall_ns);
-    slot.count = slot.count.saturating_add(incoming.count);
-    for (name, &v) in &incoming.counters {
-        let cell = slot.counters.entry(name.clone()).or_insert(0);
-        *cell = cell.saturating_add(v);
-    }
-    slot.mem.allocs = slot.mem.allocs.saturating_add(incoming.mem.allocs);
-    slot.mem.alloc_bytes = slot
-        .mem
-        .alloc_bytes
-        .saturating_add(incoming.mem.alloc_bytes);
-    slot.mem.frees = slot.mem.frees.saturating_add(incoming.mem.frees);
-    slot.mem.free_bytes = slot.mem.free_bytes.saturating_add(incoming.mem.free_bytes);
-    slot.mem.peak_live_bytes = slot.mem.peak_live_bytes.max(incoming.mem.peak_live_bytes);
-    slot.mem.min_instance_allocs = slot
-        .mem
-        .min_instance_allocs
-        .min(incoming.mem.min_instance_allocs);
-    for child in &incoming.children {
-        merge_span_data(&mut slot.children, child);
-    }
-}
-
-/// Merges a batch of raw (per-thread) span roots into aggregated form —
-/// the per-request half of the scoped-session flow: a
-/// [`ScopedSession`](crate::ScopedSession) drains its captured raw roots
-/// through this before the request hands them to the global aggregator.
-pub(crate) fn aggregate_raw(raws: Vec<RawSpan>) -> Vec<SpanData> {
-    let mut roots: Vec<SpanData> = Vec::new();
-    for raw in raws {
-        merge_into(&mut roots, raw);
-    }
-    roots
-}
-
-/// Assembles a report from the current global state (gate must already be
-/// off so no new spans race the drain).
-pub(crate) fn gather() -> TelemetryReport {
-    let mut roots: Vec<SpanData> = Vec::new();
-    for raw in spans::take_finished() {
-        merge_into(&mut roots, raw);
-    }
+/// A report of `spans` and the current registry totals and memory peaks.
+pub(crate) fn assemble(spans: Vec<SpanData>) -> TelemetryReport {
     TelemetryReport {
-        spans: roots,
+        spans,
         counters: Counter::ALL
             .iter()
             .map(|&c| (c.name().to_owned(), counters::total(c)))
@@ -781,11 +759,13 @@ mod tests {
         let mut roots = Vec::new();
         merge_into(
             &mut roots,
-            raw("solve", 100, vec![raw("k2.solve", 40, vec![])]),
+            &[],
+            &raw("solve", 100, vec![raw("k2.solve", 40, vec![])]),
         );
         merge_into(
             &mut roots,
-            raw("solve", 50, vec![raw("k2.solve", 10, vec![])]),
+            &[],
+            &raw("solve", 50, vec![raw("k2.solve", 10, vec![])]),
         );
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].wall_ns, 150);
@@ -808,7 +788,8 @@ mod tests {
         let mut roots = Vec::new();
         merge_into(
             &mut roots,
-            raw("solve", 1_500_000, vec![raw("setup", 200_000, vec![])]),
+            &[],
+            &raw("solve", 1_500_000, vec![raw("setup", 200_000, vec![])]),
         );
         TelemetryReport {
             spans: roots,
@@ -929,25 +910,48 @@ mod tests {
     }
 
     #[test]
-    fn merge_span_data_matches_raw_merge_semantics() {
-        // Aggregating two requests one tree at a time through
-        // merge_span_data must equal merging all raws in one session.
-        let mut all_at_once = Vec::new();
-        merge_into(
-            &mut all_at_once,
-            raw("solve", 100, vec![raw("k2.solve", 40, vec![])]),
-        );
-        merge_into(
-            &mut all_at_once,
-            raw("solve", 50, vec![raw("k2.solve", 10, vec![])]),
-        );
-        let mut one_by_one = Vec::new();
-        let req_a = aggregate_raw(vec![raw("solve", 100, vec![raw("k2.solve", 40, vec![])])]);
-        let req_b = aggregate_raw(vec![raw("solve", 50, vec![raw("k2.solve", 10, vec![])])]);
-        for root in req_a.iter().chain(req_b.iter()) {
-            merge_span_data(&mut one_by_one, root);
+    fn roots_filed_under_an_open_path_nest_like_inline_children() {
+        // Two task roots close under `solve/solve_core` before either
+        // span does; then the submitter's own `solve` closes.
+        let mut filed = Vec::new();
+        for wall in [30, 10] {
+            merge_into(
+                &mut filed,
+                &["solve", "solve_core"],
+                &raw("k2.solve", wall, vec![]),
+            );
         }
-        assert_eq!(one_by_one, all_at_once);
+        assert_eq!(
+            filed[0].count, 0,
+            "open parent is an empty node until it closes"
+        );
+        merge_into(
+            &mut filed,
+            &[],
+            &raw(
+                "solve",
+                100,
+                vec![raw("setup", 20, vec![]), raw("solve_core", 60, vec![])],
+            ),
+        );
+        let mut inline = Vec::new();
+        merge_into(
+            &mut inline,
+            &[],
+            &raw(
+                "solve",
+                100,
+                vec![
+                    raw("setup", 20, vec![]),
+                    raw(
+                        "solve_core",
+                        60,
+                        vec![raw("k2.solve", 30, vec![]), raw("k2.solve", 10, vec![])],
+                    ),
+                ],
+            ),
+        );
+        assert_eq!(filed, inline);
     }
 
     #[test]

@@ -1,14 +1,22 @@
-//! The hierarchical span collector.
+//! The hierarchical span collector and the one place closed spans go.
 //!
 //! Each thread keeps a stack of open spans in a thread-local; closing a
 //! span folds it into its parent's child list, and closing a span with no
-//! parent (a per-thread root — the top-level solve, or a solver phase
-//! running on a worker thread) moves the finished subtree into a global
-//! list that [`Session::finish`](crate::Session::finish) drains. In a
-//! parallel solve the per-component phase spans therefore surface as
-//! separate top-level roots rather than children of `solve_core`; the
-//! aggregation in [`report`](crate::report) merges same-name roots, so
-//! the totals are identical either way.
+//! parent (a per-thread root) merges the finished subtree into the
+//! process-wide aggregate, by name, under one lock. That aggregate is the
+//! only destination of a closed root:
+//! [`Session::begin`](crate::Session::begin) clears it,
+//! [`Session::finish`](crate::Session::finish) takes it, and
+//! [`live_report`](crate::live_report) copies it while a long-lived
+//! session keeps recording (the server's `/metrics`).
+//!
+//! A root normally files at the top level. A thread that runs work for
+//! another thread (an executor worker) first adopts the submitter's
+//! open-span path with [`SpanParent::adopt`]; its roots then file under
+//! that path, so a parallel solve's tree has the same paths, instance
+//! counts and span counters as the inline solve. Wall time and memory
+//! stay per-thread: a parent's inclusive figures cover its own thread
+//! only and do not bound the sum of children filed from other threads.
 //!
 //! When no session is recording, [`span`] returns an inactive guard
 //! without touching the thread-local at all — the disabled path is one
@@ -16,8 +24,9 @@
 
 use crate::counters::Counter;
 use crate::memprof::{self, RawSpanMem, SpanMemState};
+use crate::report::{self, SpanData};
 use std::cell::RefCell;
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// A closed span subtree as recorded on one thread, before aggregation.
@@ -46,46 +55,71 @@ struct OpenSpan {
 
 thread_local! {
     static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
-    /// When armed (a [`ScopedSession`](crate::ScopedSession) is active on
-    /// this thread), roots closed here divert into this buffer instead of
-    /// the global [`FINISHED`] list, so a server worker can hand each
-    /// request's span trees to the aggregator without draining — or
-    /// polluting — the process-wide session.
-    static CAPTURE: RefCell<Option<Vec<RawSpan>>> = const { RefCell::new(None) };
+    /// The span path this thread's roots file under (set while an
+    /// executor task runs; `None` files them at the top level).
+    static PARENT: RefCell<Option<SpanParent>> = const { RefCell::new(None) };
 }
 
-/// Roots closed while the session gate was on, from all threads.
-static FINISHED: Mutex<Vec<RawSpan>> = Mutex::new(Vec::new());
+/// Every root closed while a session recorded, from all threads, merged.
+static AGGREGATE: Mutex<Vec<SpanData>> = Mutex::new(Vec::new());
 
-/// Arms per-thread root capture (scoped-session start). Any previously
-/// captured-but-untaken roots on this thread are discarded.
-pub(crate) fn begin_capture() {
-    CAPTURE.with(|c| *c.borrow_mut() = Some(Vec::new()));
+/// The locked aggregate: sessions clear it at begin and take it at
+/// finish, live reports copy it.
+pub(crate) fn aggregate() -> std::sync::MutexGuard<'static, Vec<SpanData>> {
+    AGGREGATE.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Disarms capture and returns the roots diverted since
-/// [`begin_capture`]. Roots closed on this thread afterwards go back to
-/// the global finished list.
-pub(crate) fn take_captured() -> Vec<RawSpan> {
-    CAPTURE.with(|c| c.borrow_mut().take()).unwrap_or_default()
-}
-
-/// Files a closed per-thread root: into this thread's capture buffer when
-/// a scoped session armed one, else into the global finished list.
+/// Merges a closed per-thread root into the aggregate, under this
+/// thread's adopted parent path when it has one. The raw tree is freed
+/// after the lock is released, which keeps the section other threads
+/// wait on short.
 fn file_root(node: RawSpan) {
-    let not_captured = CAPTURE.with(|c| {
-        let mut slot = c.borrow_mut();
-        match slot.as_mut() {
-            Some(buf) => {
-                buf.push(node);
-                None
-            }
-            None => Some(node),
-        }
+    PARENT.with(|p| {
+        let parent = p.borrow();
+        let path = parent.as_ref().map_or(&[][..], |p| &p.0[..]);
+        report::merge_into(&mut aggregate(), path, &node);
     });
-    if let Some(node) = not_captured {
-        let mut finished = FINISHED.lock().unwrap_or_else(|p| p.into_inner());
-        finished.push(node);
+}
+
+/// The open-span path of a thread that hands work to other threads.
+///
+/// Record it once on the submitting thread with [`SpanParent::current`]
+/// and have each worker [`adopt`](SpanParent::adopt) it for the length
+/// of a task: the roots the task closes then file under the submitter's
+/// spans, exactly where they would sit had the task run inline.
+#[derive(Debug, Clone)]
+pub struct SpanParent(Arc<[&'static str]>);
+
+impl SpanParent {
+    /// This thread's open-span names, outermost first and preceded by
+    /// its own adopted parent's path. `None` when no session records or
+    /// no span is open, so the disabled path allocates nothing.
+    pub fn current() -> Option<SpanParent> {
+        if !crate::is_enabled() {
+            return None;
+        }
+        let names = open_path();
+        (!names.is_empty()).then(|| SpanParent(names.into()))
+    }
+
+    /// Files this thread's closed roots under this path until the guard
+    /// drops; the previous parent (if any) is restored then.
+    pub fn adopt(&self) -> AdoptedParent {
+        let previous = PARENT.with(|p| p.replace(Some(self.clone())));
+        AdoptedParent { previous }
+    }
+}
+
+/// Guard returned by [`SpanParent::adopt`].
+#[must_use = "the parent path is dropped with this guard — bind it to a local"]
+pub struct AdoptedParent {
+    previous: Option<SpanParent>,
+}
+
+impl Drop for AdoptedParent {
+    fn drop(&mut self) {
+        let previous = self.previous.take();
+        PARENT.with(|p| *p.borrow_mut() = previous);
     }
 }
 
@@ -223,19 +257,27 @@ pub fn open_span_depth() -> usize {
     STACK.with(|s| s.borrow().len())
 }
 
-/// The `/`-joined names of this thread's open spans, outermost first
-/// (`"solve/solve_core/k2.solve"`), or `None` when no span is open.
-/// Structured events attach this as their span context, so a log line can
-/// be matched against the trace without any id plumbing.
+/// The `/`-joined names of this thread's open spans, outermost first and
+/// preceded by its adopted parent path (`"solve/solve_core/k2.solve"`),
+/// or `None` when neither exists. Structured events attach this as their
+/// span context, so a log line can be matched against the trace without
+/// any id plumbing.
 pub fn current_span_path() -> Option<String> {
-    STACK.with(|s| {
-        let stack = s.borrow();
-        if stack.is_empty() {
-            None
-        } else {
-            Some(stack.iter().map(|o| o.name).collect::<Vec<_>>().join("/"))
-        }
-    })
+    let names = open_path();
+    (!names.is_empty()).then(|| names.join("/"))
+}
+
+/// This thread's adopted parent path followed by its open spans' names,
+/// outermost first.
+fn open_path() -> Vec<&'static str> {
+    let mut names = PARENT.with(|p| {
+        p.borrow()
+            .as_ref()
+            .map(|p| p.0.to_vec())
+            .unwrap_or_default()
+    });
+    STACK.with(|s| names.extend(s.borrow().iter().map(|o| o.name)));
+    names
 }
 
 /// Pre-grows this thread's span stack to at least `cap` slots (session
@@ -249,10 +291,4 @@ pub(crate) fn reserve_stack(cap: usize) {
             stack.reserve(cap - have);
         }
     });
-}
-
-/// Drains every finished root recorded so far (all threads).
-pub(crate) fn take_finished() -> Vec<RawSpan> {
-    let mut finished = FINISHED.lock().unwrap_or_else(|p| p.into_inner());
-    std::mem::take(&mut *finished)
 }

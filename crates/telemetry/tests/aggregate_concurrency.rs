@@ -1,99 +1,116 @@
-//! Concurrency property for the serving-plane aggregation pipeline: the
-//! lock-striped [`Aggregator`] absorbing per-request [`ScopedSession`]
-//! trees from many threads at once must end up **identical** to a
-//! sequential reference merge of the same trees — per-span counts, wall
-//! totals, counters and memory attribution alike.
+//! Concurrency property for the one span aggregate: roots that threads
+//! close at the same time all merge into it, under one session, and the
+//! report equals the first-principles totals — roots per name, one
+//! `child` per root, and span counters summed exactly. Half the roots
+//! are filed under an adopted parent path, the way executor tasks file
+//! theirs, so merging under a shared open node races too.
 
-use mc3_telemetry::{Aggregator, ScopedSession, Session, SpanData};
-use std::sync::Mutex;
+use mc3_telemetry::{Counter, Session, SpanParent};
 
 const THREADS: usize = 4;
 const REQUESTS_PER_THREAD: usize = 25;
 
-/// One simulated request: a root span (name chosen per thread so stripes
-/// and same-name merging both get exercised) with a counted child.
-fn simulate_request(thread: usize, i: usize) -> Vec<SpanData> {
-    let scope = ScopedSession::begin();
-    {
-        // Half the roots share one name across all threads (same-stripe
-        // contention), half are per-thread (distinct roots).
-        let name: &'static str = if i % 2 == 0 {
-            "request"
-        } else {
-            match thread % 4 {
-                0 => "req_a",
-                1 => "req_b",
-                2 => "req_c",
-                _ => "req_d",
-            }
-        };
-        let _root = mc3_telemetry::span(name);
-        let _child = mc3_telemetry::span("child");
-        mc3_telemetry::span_add(mc3_telemetry::Counter::GreedyIterations, 1 + i as u64);
-        std::hint::black_box(vec![0u8; 64 + i]);
+/// Root name of request `i` on `thread`: even requests share one name
+/// across all threads, odd ones are per-thread.
+fn root_name(thread: usize, i: usize) -> &'static str {
+    if i % 2 == 0 {
+        "request"
+    } else {
+        ["req_a", "req_b", "req_c", "req_d"][thread % 4]
     }
-    scope.finish()
+}
+
+/// The counter increment request `i` attributes to its `child` span.
+fn increment(i: usize) -> u64 {
+    1 + i as u64
+}
+
+/// One simulated request: a root span with a counted child.
+fn simulate_request(thread: usize, i: usize) {
+    let _root = mc3_telemetry::span(root_name(thread, i));
+    let _child = mc3_telemetry::span("child");
+    mc3_telemetry::span_add(Counter::GreedyIterations, increment(i));
+    std::hint::black_box(vec![0u8; 64 + i]);
 }
 
 #[test]
-fn concurrent_absorb_equals_sequential_reference_merge() {
+fn concurrently_filed_roots_give_first_principles_totals() {
     let session = Session::begin();
-    let concurrent = Aggregator::new();
-    let recorded: Mutex<Vec<Vec<SpanData>>> = Mutex::new(Vec::new());
+    // A submitter span stays open while the threads file under it.
+    let parent = {
+        let _submitter = mc3_telemetry::span("submitter");
+        let parent = SpanParent::current().expect("a session records and a span is open");
+        std::thread::scope(|scope| {
+            for t in 0..THREADS {
+                let parent = &parent;
+                scope.spawn(move || {
+                    for i in 0..REQUESTS_PER_THREAD {
+                        if t % 2 == 0 {
+                            simulate_request(t, i);
+                        } else {
+                            let _adopted = parent.adopt();
+                            simulate_request(t, i);
+                        }
+                    }
+                });
+            }
+        });
+        parent
+    };
+    drop(parent);
+    let report = session.finish();
 
-    std::thread::scope(|scope| {
-        for t in 0..THREADS {
-            let concurrent = &concurrent;
-            let recorded = &recorded;
-            scope.spawn(move || {
-                for i in 0..REQUESTS_PER_THREAD {
-                    let roots = simulate_request(t, i);
-                    assert!(!roots.is_empty(), "scope captured nothing");
-                    concurrent.absorb(&roots);
-                    recorded
-                        .lock()
-                        .unwrap_or_else(|p| p.into_inner())
-                        .push(roots);
+    // Expected totals per (filed-under-submitter, root name).
+    let mut want: Vec<(bool, &str, u64, u64)> = Vec::new();
+    for t in 0..THREADS {
+        for i in 0..REQUESTS_PER_THREAD {
+            let key = (t % 2 == 1, root_name(t, i));
+            match want.iter_mut().find(|w| (w.0, w.1) == key) {
+                Some(w) => {
+                    w.2 += 1;
+                    w.3 += increment(i);
                 }
-            });
+                None => want.push((key.0, key.1, 1, increment(i))),
+            }
         }
-    });
-
-    // Sequential reference: absorb the very same per-request trees one by
-    // one on this thread.
-    let reference = Aggregator::new();
-    let recorded = recorded.into_inner().unwrap_or_else(|p| p.into_inner());
-    assert_eq!(recorded.len(), THREADS * REQUESTS_PER_THREAD);
-    for roots in &recorded {
-        reference.absorb(roots);
     }
 
-    let got = concurrent.snapshot();
-    let want = reference.snapshot();
-    assert_eq!(got, want, "concurrent aggregate diverged from reference");
-
-    // Cross-check the totals against first principles: every request
-    // produced exactly one root with one `child` beneath it.
-    let total_roots: u64 = got.iter().map(|s| s.count).sum();
-    assert_eq!(total_roots, (THREADS * REQUESTS_PER_THREAD) as u64);
-    for root in &got {
-        let child = root
-            .children
-            .iter()
-            .find(|c| c.name == "child")
-            .expect("child span merged under every root");
-        assert_eq!(child.count, root.count);
-        assert!(root.wall_ns >= child.wall_ns);
-    }
-    let shared = got
+    let submitter = report
+        .spans
         .iter()
-        .find(|s| s.name == "request")
-        .expect("shared-name root present");
-    // Even-indexed requests of every thread share this root.
+        .find(|s| s.name == "submitter")
+        .expect("submitter root recorded");
+    assert_eq!(submitter.count, 1);
+    for (adopted, name, roots, counted) in want {
+        let level = if adopted {
+            &submitter.children
+        } else {
+            &report.spans
+        };
+        let root = level
+            .iter()
+            .find(|s| s.name == name)
+            .unwrap_or_else(|| panic!("root {name} (adopted: {adopted}) missing"));
+        assert_eq!(root.count, roots, "root {name} (adopted: {adopted})");
+        assert_eq!(root.children.len(), 1, "root {name}: one child name");
+        let child = &root.children[0];
+        assert_eq!(child.name, "child");
+        assert_eq!(child.count, roots, "root {name}: one child per root");
+        assert_eq!(
+            child.counters.get("greedy_iterations"),
+            Some(&counted),
+            "root {name}: summed counters"
+        );
+        assert!(root.wall_ns >= child.wall_ns);
+        assert!(root.mem.allocs >= child.mem.allocs);
+    }
+    // Every root landed exactly once: the submitter, the four per-thread
+    // names and the shared name at the top level and under the submitter.
+    let top: u64 = report.spans.iter().map(|s| s.count).sum();
+    let under: u64 = submitter.children.iter().map(|s| s.count).sum();
+    assert_eq!(top + under, 1 + (THREADS * REQUESTS_PER_THREAD) as u64);
     assert_eq!(
-        shared.count,
-        (THREADS * REQUESTS_PER_THREAD.div_ceil(2)) as u64
+        report.counters["greedy_iterations"],
+        (0..REQUESTS_PER_THREAD).map(increment).sum::<u64>() * THREADS as u64
     );
-
-    drop(session);
 }
