@@ -1,81 +1,16 @@
-//! Problem and solution types for the simplex solver.
-
-/// Direction of a linear constraint.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ConstraintOp {
-    /// `Σ aᵢxᵢ ≥ b`
-    Ge,
-    /// `Σ aᵢxᵢ ≤ b`
-    Le,
-    /// `Σ aᵢxᵢ = b`
-    Eq,
-}
-
-/// One linear constraint in sparse form.
-#[derive(Debug, Clone)]
-pub struct LpConstraint {
-    /// `(variable index, coefficient)` pairs.
-    pub coeffs: Vec<(usize, f64)>,
-    /// Constraint direction.
-    pub op: ConstraintOp,
-    /// Right-hand side.
-    pub rhs: f64,
-}
-
-/// A minimization LP over non-negative variables.
-#[derive(Debug, Clone)]
-pub struct LpProblem {
-    /// Objective coefficients (`minimize c·x`); its length fixes the number
-    /// of variables.
-    pub objective: Vec<f64>,
-    /// The constraints.
-    pub constraints: Vec<LpConstraint>,
-}
-
-impl LpProblem {
-    /// A minimization problem with the given objective and no constraints.
-    pub fn minimize(objective: Vec<f64>) -> LpProblem {
-        LpProblem {
-            objective,
-            constraints: Vec::new(),
-        }
-    }
-
-    /// Number of decision variables.
-    pub fn num_vars(&self) -> usize {
-        self.objective.len()
-    }
-
-    /// Adds a constraint; coefficients for out-of-range variables panic in
-    /// debug builds.
-    pub fn constraint(
-        &mut self,
-        coeffs: Vec<(usize, f64)>,
-        op: ConstraintOp,
-        rhs: f64,
-    ) -> &mut Self {
-        debug_assert!(coeffs.iter().all(|&(i, _)| i < self.num_vars()));
-        self.constraints.push(LpConstraint { coeffs, op, rhs });
-        self
-    }
-
-    /// Solves with the two-phase simplex.
-    pub fn solve(&self) -> LpSolution {
-        crate::simplex::solve(self)
-    }
-}
+//! Solution types of the covering-LP solver.
 
 /// Outcome of a solve.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LpStatus {
     /// An optimal solution was found.
     Optimal,
-    /// The feasible region is empty.
+    /// The feasible region is empty (some row lists no column).
     Infeasible,
-    /// The objective is unbounded below.
+    /// The objective is unbounded below (a negative cost).
     Unbounded,
     /// The hard pivot bound was exhausted before reaching optimality
-    /// (anti-cycling backstop; see [`crate::simplex::solve_with_limit`]).
+    /// (anti-cycling backstop; see [`crate::simplex::solve_covering_with_limit`]).
     IterationLimit,
 }
 
@@ -86,22 +21,14 @@ pub struct LpSolution {
     pub status: LpStatus,
     /// `c·x` at the solution (meaningful only when `Optimal`).
     pub objective_value: f64,
-    /// The variable assignment (meaningful only when `Optimal`).
+    /// The primal assignment `x`, one value per column (empty unless
+    /// `Optimal`).
     pub values: Vec<f64>,
-    /// Simplex pivots performed across both phases, including partial
-    /// progress on non-`Optimal` outcomes.
+    /// The packing dual `y`, one value per row, read off the slacks'
+    /// final reduced costs: `Aᵀy ≤ c`, `y ≥ 0` and `Σy = c·x` prove `x`
+    /// optimal (empty unless `Optimal`).
+    pub duals: Vec<f64>,
+    /// Simplex pivots performed, including partial progress on
+    /// non-`Optimal` outcomes.
     pub pivots: u64,
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn builder_tracks_variables() {
-        let mut p = LpProblem::minimize(vec![1.0, 1.0, 1.0]);
-        assert_eq!(p.num_vars(), 3);
-        p.constraint(vec![(0, 1.0)], ConstraintOp::Ge, 1.0);
-        assert_eq!(p.constraints.len(), 1);
-    }
 }

@@ -6,14 +6,15 @@
 //! instance frequency. Each constraint has at most `f` variables, so the
 //! rounded solution is feasible and costs at most `f · OPT_LP ≤ f · OPT`.
 //!
-//! The dense simplex makes this path suitable for small/medium instances;
+//! The LP goes to `mc3-lp`'s covering dual simplex. Its dense tableau
+//! makes this path suitable for small/medium instances;
 //! Algorithm 3 switches to [`crate::primal_dual`] (same guarantee) above a
 //! configurable size threshold.
 
 use crate::instance::{SetCoverInstance, SetCoverSolution};
 use mc3_core::u32_of;
 use mc3_core::{Mc3Error, Result};
-use mc3_lp::{ConstraintOp, LpProblem, LpStatus};
+use mc3_lp::LpStatus;
 
 /// Solves WSC by LP rounding. Errors if the instance is uncoverable or the
 /// LP solver fails unexpectedly.
@@ -25,20 +26,11 @@ pub fn solve_lp_rounding(instance: &SetCoverInstance) -> Result<SetCoverSolution
     }
     let f = instance.frequency().max(1);
 
-    let objective: Vec<f64> = (0..instance.num_sets())
+    let costs: Vec<f64> = (0..instance.num_sets())
         .map(|s| instance.cost(s).raw() as f64)
         .collect();
-    let mut lp = LpProblem::minimize(objective);
-    for e in 0..u32_of(instance.num_elements()) {
-        let coeffs: Vec<(usize, f64)> = instance
-            .containing(e)
-            .iter()
-            .map(|&s| (s as usize, 1.0))
-            .collect();
-        lp.constraint(coeffs, ConstraintOp::Ge, 1.0);
-    }
-
-    let sol = lp.solve();
+    let rows = (0..u32_of(instance.num_elements())).map(|e| instance.containing(e));
+    let sol = mc3_lp::solve_covering(&costs, rows);
     match sol.status {
         LpStatus::Optimal => {}
         LpStatus::Infeasible => {
@@ -53,6 +45,8 @@ pub fn solve_lp_rounding(instance: &SetCoverInstance) -> Result<SetCoverSolution
         }
         LpStatus::IterationLimit => return Err(Mc3Error::LpIterationLimit { pivots: sol.pivots }),
     }
+    #[cfg(feature = "verify")]
+    crate::verify::assert_lp_strong_duality(instance, &costs, &sol.values, &sol.duals);
 
     let threshold = 1.0 / f as f64 - 1e-7;
     let selected: Vec<usize> = sol

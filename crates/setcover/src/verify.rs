@@ -67,6 +67,51 @@ pub fn assert_greedy_dual_feasible(instance: &SetCoverInstance, price: &[f64], s
     }
 }
 
+/// Checks a strong-duality certificate for an optimal solution of the
+/// covering LP `min c·x, Ax ≥ 1, x ≥ 0` of `instance` (`c = costs`), with
+/// `y` the packing dual `max Σy, Aᵀy ≤ c, y ≥ 0`. Asserts:
+///
+/// 1. **Primal feasibility** — `x ≥ 0` and `Σ_{s ∋ e} x_s ≥ 1` for every
+///    element `e`;
+/// 2. **Dual feasibility** — `y ≥ 0` and `Σ_{e ∈ s} y_e ≤ c_s` for every
+///    set `s`;
+/// 3. **Equal objectives** — `c·x = Σy`.
+///
+/// By weak duality every feasible `x'` costs at least `Σy`, so (1)–(3)
+/// prove `x` optimal without trusting the simplex that produced it.
+pub fn assert_lp_strong_duality(instance: &SetCoverInstance, costs: &[f64], x: &[f64], y: &[f64]) {
+    const TOL: f64 = 1e-7;
+    let _vspan = mc3_telemetry::span("verify.lp_duality");
+    assert_eq!(x.len(), instance.num_sets(), "one primal value per set");
+    assert_eq!(
+        y.len(),
+        instance.num_elements(),
+        "one dual value per element"
+    );
+    assert!(x.iter().all(|&v| v >= 0.0), "primal value below zero");
+    assert!(y.iter().all(|&v| v >= 0.0), "dual value below zero");
+    for e in 0..mc3_core::u32_of(y.len()) {
+        let covered: f64 = instance.containing(e).iter().map(|&s| x[s as usize]).sum();
+        assert!(
+            covered >= 1.0 - TOL,
+            "primal infeasible at element {e}: coverage {covered} < 1"
+        );
+    }
+    for (s, &c) in costs.iter().enumerate() {
+        let packed: f64 = instance.set(s).iter().map(|&e| y[e as usize]).sum();
+        assert!(
+            packed <= c + TOL * c.max(1.0),
+            "dual infeasible at set {s}: its elements pack {packed} > cost {c}"
+        );
+    }
+    let primal: f64 = x.iter().zip(costs).map(|(v, c)| v * c).sum();
+    let dual: f64 = y.iter().sum();
+    assert!(
+        (primal - dual).abs() <= TOL * primal.max(1.0),
+        "duality gap: c·x = {primal} but Σy = {dual}; the LP solution is not optimal"
+    );
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

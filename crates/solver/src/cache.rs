@@ -564,43 +564,13 @@ impl CacheContext {
         canonical: &Canonical,
         solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
     ) -> mc3_core::Result<Vec<ClassifierId>> {
-        let t0 = mc3_telemetry::monotonic_ns();
         let key = component_key(canonical, self.digest);
-        match self.cache.lookup_outcome(key) {
-            Some(CachedOutcome::Solved(cached)) => {
-                if let Some(ids) = remap_verified(ws, comp, canonical, &cached) {
-                    self.cache.confirm_hit(key);
-                    mc3_telemetry::record(
-                        mc3_telemetry::Hist::CacheLookupNs,
-                        mc3_telemetry::monotonic_ns().saturating_sub(t0),
-                    );
-                    return Ok(ids);
-                }
-                // Collision or corruption: never trust it, never keep it.
-                self.cache.reject(key);
-            }
-            Some(CachedOutcome::Uncoverable) => {
-                if let Some(query_index) = first_uncoverable_query(ws, comp) {
-                    self.cache.confirm_negative_hit(key);
-                    mc3_telemetry::record(
-                        mc3_telemetry::Hist::CacheLookupNs,
-                        mc3_telemetry::monotonic_ns().saturating_sub(t0),
-                    );
-                    return Err(mc3_core::Mc3Error::Uncoverable { query_index });
-                }
-                // The verdict no longer holds here (collision, or a
-                // different weight landscape): drop it and solve fresh.
-                self.cache.reject(key);
-            }
-            None => {}
+        if let Some(consulted) = self.consult(ws, comp, canonical, key) {
+            return consulted;
         }
-        self.cache.note_miss(key);
-        mc3_telemetry::record(
-            mc3_telemetry::Hist::CacheLookupNs,
-            mc3_telemetry::monotonic_ns().saturating_sub(t0),
-        );
         match solve() {
             Ok(ids) => {
+                let _span = mc3_telemetry::span("cache.insert");
                 if let Some(solve) = canonical_sets(ws, canonical, &ids) {
                     self.cache.insert(key, solve);
                 }
@@ -610,11 +580,57 @@ impl CacheContext {
                 // Infeasibility is a solve result too: memoize the
                 // verdict so the next structurally identical component
                 // fails in one verified scan instead of a full solve.
+                let _span = mc3_telemetry::span("cache.insert");
                 self.cache.insert_negative(key);
                 Err(e)
             }
             Err(e) => Err(e),
         }
+    }
+
+    /// The cache side of [`Self::solve_component`] under its own
+    /// `cache.consult` span: lookup, remap and re-verify. `Some` is a
+    /// verified answer (a solution, or a replayed uncoverable verdict);
+    /// `None` is a recorded miss.
+    fn consult(
+        &self,
+        ws: &WorkState<'_>,
+        comp: &[usize],
+        canonical: &Canonical,
+        key: u128,
+    ) -> Option<mc3_core::Result<Vec<ClassifierId>>> {
+        let _span = mc3_telemetry::span("cache.consult");
+        let t0 = mc3_telemetry::monotonic_ns();
+        let answer = match self.cache.lookup_outcome(key) {
+            Some(CachedOutcome::Solved(cached)) => {
+                let ids = remap_verified(ws, comp, canonical, &cached);
+                match ids {
+                    Some(_) => self.cache.confirm_hit(key),
+                    // Collision or corruption: never trust it, never keep it.
+                    None => self.cache.reject(key),
+                }
+                ids.map(Ok)
+            }
+            Some(CachedOutcome::Uncoverable) => {
+                let query_index = first_uncoverable_query(ws, comp);
+                match query_index {
+                    Some(_) => self.cache.confirm_negative_hit(key),
+                    // The verdict no longer holds here (collision, or a
+                    // different weight landscape): drop it and solve fresh.
+                    None => self.cache.reject(key),
+                }
+                query_index.map(|query_index| Err(mc3_core::Mc3Error::Uncoverable { query_index }))
+            }
+            None => None,
+        };
+        if answer.is_none() {
+            self.cache.note_miss(key);
+        }
+        mc3_telemetry::record(
+            mc3_telemetry::Hist::CacheLookupNs,
+            mc3_telemetry::monotonic_ns().saturating_sub(t0),
+        );
+        answer
     }
 }
 

@@ -464,14 +464,16 @@ impl Mc3Solver {
         //    largest-first so the expensive solves start immediately
         //    while small ones backfill idle workers.
         // Without a cache every component is its own cold leader.
-        let canonicals: Vec<Option<mc3_core::canon::Canonical>> = comps
-            .iter()
-            .map(|c| {
-                cache_ctx
-                    .as_ref()
-                    .and_then(|ctx| crate::cache::component_canonical(&ws, c, ctx.kp))
-            })
-            .collect();
+        let canonicals: Vec<Option<mc3_core::canon::Canonical>> = match &cache_ctx {
+            Some(ctx) => {
+                let _span = mc3_telemetry::span("cache.canon");
+                comps
+                    .iter()
+                    .map(|c| crate::cache::component_canonical(&ws, c, ctx.kp))
+                    .collect()
+            }
+            None => comps.iter().map(|_| None).collect(),
+        };
         let mut followers: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
         let mut hot: Vec<usize> = Vec::new();
         let mut cold: Vec<usize> = Vec::with_capacity(comps.len());

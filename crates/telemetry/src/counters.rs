@@ -82,9 +82,10 @@ declare_counters! {
     DispatchGeneral => "dispatch_general",
     /// Bipartite weighted-vertex-cover reductions solved via max-flow.
     WvcSolves => "wvc_solves",
-    /// Simplex: pivots performed (phase 1 + phase 2).
+    /// Covering-LP dual simplex: pivots performed.
     LpPivots => "lp_pivots",
-    /// Simplex: degenerate pivots (leaving ratio ≈ 0; anti-cycling trigger).
+    /// Covering-LP dual simplex: degenerate pivots (ratio ≈ 0; anti-cycling
+    /// trigger).
     LpDegeneratePivots => "lp_degenerate_pivots",
     /// Bitset coverage kernel: 64-bit word operations executed.
     BitCoverWordOps => "bitcover_word_ops",
@@ -155,7 +156,7 @@ declare_hists! {
     ComponentSize => "component_size",
     /// Newly covered elements per greedy WSC selection.
     GreedyPickCoverage => "greedy_pick_coverage",
-    /// Simplex pivots per `optimize` run (phase 1 and phase 2 separately).
+    /// Covering-LP dual simplex pivots per solve.
     LpIterations => "lp_iterations",
     /// Nanoseconds per solve-cache lookup (hit or miss, incl. re-verify).
     CacheLookupNs => "cache_lookup_ns",
