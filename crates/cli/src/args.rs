@@ -48,9 +48,6 @@ pub enum Command {
         parallel: bool,
         /// Bounded classifier length `k'`.
         max_classifier_len: Option<usize>,
-        /// Worker count for the shared solve executor under `--parallel`
-        /// (0 = one per available core).
-        threads: usize,
         /// Optional solution output path (`-` = stdout).
         out: Option<String>,
         /// Telemetry trace: `None` = off, `Some(None)` = print the span
@@ -153,7 +150,7 @@ pub enum Command {
         workers: usize,
         /// Solve-cache budget in MiB (0 disables both caches).
         cache_mb: usize,
-        /// Shared solve-executor size (0 = one per available core).
+        /// Solves in flight at once (0 = one per available core).
         solve_threads: usize,
     },
     /// `mc3 loadgen [--addr HOST:PORT] [--duration SECS] [--concurrency N]
@@ -187,7 +184,7 @@ USAGE:
   mc3 stats <DATASET.json>
   mc3 solve <DATASET.json> [--algorithm <auto|k2|general|short-first|exact|
                              property-oriented|query-oriented|mixed|local-greedy>]
-            [--no-preprocess] [--no-refine] [--parallel] [--threads <N>]
+            [--no-preprocess] [--no-refine] [--parallel]
             [--max-classifier-len <K>] [--out <FILE|->] [--trace[=<FILE>]]
             [--chrome <FILE>]
   mc3 profile [DATASET.json] [--kind <K>] [--queries <N>] [--seed <S>]
@@ -290,7 +287,6 @@ impl Cli {
                 let mut no_refine = false;
                 let mut parallel = false;
                 let mut max_classifier_len = None;
-                let mut threads = 0usize;
                 let mut out = None;
                 let mut trace = None;
                 let mut chrome = None;
@@ -302,7 +298,6 @@ impl Cli {
                         "--no-preprocess" => no_preprocess = true,
                         "--no-refine" => no_refine = true,
                         "--parallel" => parallel = true,
-                        "--threads" => threads = s.parsed("--threads")?,
                         "--max-classifier-len" => {
                             max_classifier_len = Some(s.parsed("--max-classifier-len")?)
                         }
@@ -322,7 +317,6 @@ impl Cli {
                     no_refine,
                     parallel,
                     max_classifier_len,
-                    threads,
                     out,
                     trace,
                     chrome,
@@ -583,8 +577,6 @@ mod tests {
             "short-first",
             "--no-preprocess",
             "--parallel",
-            "--threads",
-            "3",
             "--max-classifier-len",
             "2",
         ])
@@ -595,7 +587,6 @@ mod tests {
                 algorithm,
                 no_preprocess,
                 parallel,
-                threads,
                 max_classifier_len,
                 ..
             } => {
@@ -603,15 +594,12 @@ mod tests {
                 assert_eq!(algorithm, Algorithm::ShortFirst);
                 assert!(no_preprocess);
                 assert!(parallel);
-                assert_eq!(threads, 3);
                 assert_eq!(max_classifier_len, Some(2));
             }
             other => panic!("wrong command: {other:?}"),
         }
-        // --threads defaults to 0 (auto) and rejects non-numbers.
-        let cli = Cli::parse(["solve", "d.json", "--parallel"]).unwrap();
-        assert!(matches!(cli.command, Command::Solve { threads: 0, .. }));
-        assert!(Cli::parse(["solve", "d.json", "--threads", "many"]).is_err());
+        // Thread counts are not a solve flag: --parallel sizes itself.
+        assert!(Cli::parse(["solve", "d.json", "--threads", "3"]).is_err());
     }
 
     #[test]

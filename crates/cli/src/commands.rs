@@ -28,7 +28,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             no_refine,
             parallel,
             max_classifier_len,
-            threads,
             out,
             trace,
             chrome,
@@ -39,7 +38,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             *no_refine,
             *parallel,
             *max_classifier_len,
-            *threads,
             out.as_deref(),
             trace.as_ref(),
             chrome.as_deref(),
@@ -227,15 +225,11 @@ fn solve(
     no_refine: bool,
     parallel: bool,
     max_classifier_len: Option<usize>,
-    threads: usize,
     out: Option<&str>,
     trace: Option<&Option<String>>,
     chrome: Option<&str>,
 ) -> Result<String, String> {
     let ds = load_dataset(dataset)?;
-    if threads > 0 {
-        mc3_solver::executor::configure_threads(threads);
-    }
     let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(parallel);
     if no_preprocess {
         solver = solver.without_preprocessing();

@@ -15,7 +15,7 @@
 //! child wall ≤ summed parent wall), this preserves strict parent/child
 //! containment — the property tests pin that. A parallel solve's tree is
 //! not well-nested in that sense: the children of `solve_core` ran
-//! concurrently on executor workers, so their summed wall can exceed the
+//! concurrently on other threads, so their summed wall can exceed the
 //! parent's and the packed children run past its end.
 //!
 //! The memory axis rides along twice: every `"X"` event carries its

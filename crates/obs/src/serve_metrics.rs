@@ -104,13 +104,15 @@ impl RouteLatency {
 }
 
 /// Live request-plane counters: `mc3_requests_total{route,status}`,
-/// `mc3_inflight_requests` and the per-route
-/// `mc3_request_latency_seconds` log2 histograms. One instance lives for
+/// `mc3_inflight_requests`, the per-route
+/// `mc3_request_latency_seconds` log2 histograms and
+/// `mc3_requests_dropped_total`. One instance lives for
 /// the server's lifetime; worker threads update it lock-free.
 pub struct RequestMetrics {
     requests: [[AtomicU64; CLASSES]; ROUTES],
     inflight: AtomicU64,
     latency: [RouteLatency; ROUTES],
+    dropped: AtomicU64,
 }
 
 impl Default for RequestMetrics {
@@ -139,6 +141,7 @@ impl RequestMetrics {
             requests: std::array::from_fn(|_| std::array::from_fn(|_| AtomicU64::new(0))),
             inflight: AtomicU64::new(0),
             latency: std::array::from_fn(|_| RouteLatency::new()),
+            dropped: AtomicU64::new(0),
         }
     }
 
@@ -176,6 +179,12 @@ impl RequestMetrics {
             // audit:allow(no-relaxed-atomics) reviewed: monotonic histogram cells — scrapes tolerate momentary skew
             bucket.fetch_add(1, Ordering::Relaxed);
         }
+    }
+
+    /// Counts a connection the server answered 503 without serving it.
+    pub fn observe_dropped(&self) {
+        // audit:allow(no-relaxed-atomics) reviewed: monotonic counter — scrapes tolerate momentary skew
+        self.dropped.fetch_add(1, Ordering::Relaxed);
     }
 
     /// Total requests recorded for `route` with the status class of
@@ -274,6 +283,14 @@ impl RequestMetrics {
         }
         let _ = writeln!(
             out,
+            "# HELP mc3_requests_dropped_total Connections answered 503 without being served (worker pool shutting down)."
+        );
+        let _ = writeln!(out, "# TYPE mc3_requests_dropped_total counter");
+        // audit:allow(no-relaxed-atomics) reviewed: monotonic counter read for a scrape
+        let dropped = self.dropped.load(Ordering::Relaxed);
+        let _ = writeln!(out, "mc3_requests_dropped_total {dropped}");
+        let _ = writeln!(
+            out,
             "# HELP mc3_log_events_dropped_total Events dropped by the JSONL event-log rate limiter since process start."
         );
         let _ = writeln!(out, "# TYPE mc3_log_events_dropped_total counter");
@@ -359,6 +376,9 @@ mod tests {
             text.contains("# TYPE mc3_log_events_dropped_total counter"),
             "{text}"
         );
+        assert!(text.contains("mc3_requests_dropped_total 0"), "{text}");
+        m.observe_dropped();
+        assert!(m.render().contains("mc3_requests_dropped_total 1"));
     }
 
     #[test]

@@ -10,7 +10,7 @@
 //! * [`server`] — `mc3 serve`: `POST /solve` (dataset JSON in, solve
 //!   report + certificate out), `GET /metrics` (live Prometheus
 //!   exposition: cumulative solver telemetry from
-//!   [`mc3_telemetry::live_report`], span trees of executor tasks
+//!   [`mc3_telemetry::live_report`], every request's span tree
 //!   included, plus the request-plane families), `GET /healthz`,
 //!   `GET /buildinfo`. Every request gets its own id, propagated into
 //!   the JSONL event log, and a handler panic is answered 500. Repeated
@@ -47,10 +47,10 @@ pub struct ServerConfig {
     /// exact-body request cache gets a quarter of it on top. `0`
     /// disables both: every request recomputes from scratch.
     pub cache_mb: usize,
-    /// Worker count for the shared solve executor
-    /// ([`mc3_solver::executor`]) all `/solve` and `/solve-batch`
-    /// requests run their component solves on; `0` = one per available
-    /// core. The pool is process-wide and sized once, at startup.
+    /// Solves in flight at once: at most this many `/solve` and
+    /// `/solve-batch` requests run decode → solve → certify together,
+    /// each inline on its connection's worker; the rest wait. `0` = one
+    /// per available core.
     pub solve_threads: usize,
 }
 

@@ -24,7 +24,8 @@
 //! # Concurrency and accounting
 //!
 //! The cache is lock-striped into 16 shards selected by key bits, so
-//! the parallel work-stealing component workers rarely contend. Each
+//! concurrent solves (server requests, a parallel solve's threads)
+//! rarely contend. Each
 //! shard is a [`ByteLru`] with a sixteenth of the capacity as its byte
 //! budget; entry sizes are estimated from their set payloads. All
 //! statistics live under the shard locks — no atomics — and are summed

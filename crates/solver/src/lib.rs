@@ -16,8 +16,6 @@
 //!   Local-Greedy (§6.1);
 //! * [`cache`] — cross-request memoization of per-component solves,
 //!   keyed by `mc3-core::canon` canonical fingerprints;
-//! * [`executor`] — the process-wide work-stealing pool parallel solves
-//!   run on (one fixed worker set shared by all concurrent solves);
 //! * [`exact`] — an exponential-time exact reference solver;
 //! * [`partial`] — the budgeted partial-cover future-work variant (§5.3);
 //! * [`multivalued_ext`] — mixed binary + multi-valued classifiers (§5.3).
@@ -27,7 +25,6 @@ pub mod cache;
 pub mod components;
 pub mod cover_dp;
 pub mod exact;
-pub mod executor;
 pub mod general;
 pub mod hardness;
 pub mod k2;

@@ -112,12 +112,6 @@ declare_counters! {
     /// Solve cache: components whose canonicalization ran out of budget
     /// (solved uncached).
     CanonBudgetExhausted => "canon_budget_exhausted",
-    /// Solve executor: component tasks executed by the shared workers.
-    ExecTasks => "exec_tasks",
-    /// Solve executor: tasks taken from another worker's deque.
-    ExecSteals => "exec_steals",
-    /// Solve executor: nanoseconds workers spent parked waiting for work.
-    ExecParkNs => "exec_park_ns",
     /// Memprof: heap allocations observed while the session gate was on.
     MemAllocs => "mem_allocs",
     /// Memprof: bytes requested by those allocations.
@@ -160,9 +154,6 @@ declare_hists! {
     LpIterations => "lp_iterations",
     /// Nanoseconds per solve-cache lookup (hit or miss, incl. re-verify).
     CacheLookupNs => "cache_lookup_ns",
-    /// Nanoseconds a scheduled executor task waited in queue before
-    /// a worker picked it up.
-    ExecWaitNs => "exec_wait_ns",
     /// Requested size in bytes of every tracked heap allocation.
     AllocSize => "alloc_size_bytes",
 }

@@ -10,8 +10,9 @@
 //!
 //! * **Spans** ([`span`], [`timed_span`]) — hierarchical wall-time
 //!   regions kept on a thread-local stack; every closed root merges by
-//!   name into one process-wide aggregate, and executor workers file
-//!   theirs under the submitting thread's open spans ([`SpanParent`]).
+//!   name into one process-wide aggregate, and a parallel solve's
+//!   threads file theirs under the submitting thread's open spans
+//!   ([`SpanParent`]).
 //! * **Counters** ([`Counter`], [`count`], [`span_add`]) — a closed
 //!   registry of monotonic `AtomicU64`s, so parallel and sequential
 //!   solves of one instance report identical totals.

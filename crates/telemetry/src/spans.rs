@@ -11,7 +11,7 @@
 //! session keeps recording (the server's `/metrics`).
 //!
 //! A root normally files at the top level. A thread that runs work for
-//! another thread (an executor worker) first adopts the submitter's
+//! another thread (a parallel solve's thread) first adopts the submitter's
 //! open-span path with [`SpanParent::adopt`]; its roots then file under
 //! that path, so a parallel solve's tree has the same paths, instance
 //! counts and span counters as the inline solve. Wall time and memory
@@ -55,8 +55,8 @@ struct OpenSpan {
 
 thread_local! {
     static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
-    /// The span path this thread's roots file under (set while an
-    /// executor task runs; `None` files them at the top level).
+    /// The span path this thread's roots file under (set while a
+    /// parallel solve's thread runs; `None` files them at the top level).
     static PARENT: RefCell<Option<SpanParent>> = const { RefCell::new(None) };
 }
 

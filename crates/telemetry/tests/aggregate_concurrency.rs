@@ -2,8 +2,8 @@
 //! close at the same time all merge into it, under one session, and the
 //! report equals the first-principles totals — roots per name, one
 //! `child` per root, and span counters summed exactly. Half the roots
-//! are filed under an adopted parent path, the way executor tasks file
-//! theirs, so merging under a shared open node races too.
+//! are filed under an adopted parent path, the way a parallel solve's
+//! threads file theirs, so merging under a shared open node races too.
 
 use mc3_telemetry::{Counter, Session, SpanParent};
 
