@@ -63,6 +63,21 @@ fn bench_allocator_overhead() {
             black_box(Box::new(i));
         }
     });
+    // Two threads allocating at once: the hook writes only each thread's
+    // own cells, so this should cost about what one thread's 10,000
+    // round trips do, plus two thread spawns; shared per-allocation
+    // writes would show here as cache-line contention.
+    group.bench("alloc_free/enabled_gate_2threads", || {
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    for i in 0..10_000usize {
+                        black_box(Box::new(i));
+                    }
+                });
+            }
+        });
+    });
     drop(session.finish());
 
     // Hard ceiling while the gate is closed: the tracking wrapper adds a

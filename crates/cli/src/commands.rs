@@ -936,7 +936,10 @@ mod tests {
         let out = run(&Cli::parse(["profile", "--queries", "60", "--seed", "2", "--mem"]).unwrap())
             .unwrap();
         assert!(out.contains("allocations"), "{out}");
-        assert!(out.contains("peak live bytes (session):"), "{out}");
+        assert!(
+            out.contains("peak live bytes (largest span root):"),
+            "{out}"
+        );
     }
 
     #[test]

@@ -140,8 +140,8 @@ pub struct GateConfig {
     pub min_wall_ns: u64,
     /// Whether to gate on the memory axis: exact per-span-path allocation
     /// counts and bytes (no tolerance, no floor — allocator traces of a
-    /// pinned workload are deterministic), plus the global `mem_*`
-    /// counters. `mc3 bench-gate --no-mem` turns this off.
+    /// pinned workload are deterministic). `mc3 bench-gate --no-mem`
+    /// turns this off.
     pub check_mem: bool,
 }
 
@@ -420,12 +420,6 @@ pub fn compare(
 
     let mut counters_checked = 0usize;
     for (name, &base) in &baseline.counters {
-        // The global mem_* totals belong to the memory axis: skipped
-        // entirely under --no-mem (they move with every allocation, so
-        // keeping them strict would defeat the opt-out).
-        if !cfg.check_mem && name.starts_with("mem_") {
-            continue;
-        }
         let cand = candidate.counters.get(name).copied().unwrap_or(0);
         counters_checked += 1;
         let drift = cand.abs_diff(base);
@@ -563,10 +557,8 @@ mod tests {
 
     #[test]
     fn no_mem_config_admits_allocation_drift() {
-        let mut base = report(10_000_000, 40);
-        base.counters.insert("mem_allocs".to_owned(), 1_000);
+        let base = report(10_000_000, 40);
         let mut cand = report(10_000_000, 40);
-        cand.counters.insert("mem_allocs".to_owned(), 2_000);
         cand.spans[0].mem.allocs += 99;
         cand.spans[0].mem.alloc_bytes += 4096;
         let cfg = GateConfig {
@@ -575,9 +567,9 @@ mod tests {
         };
         let out = compare(&base, &cand, &cfg);
         assert!(out.passed(), "{}", out.render());
-        // With the default config the same drift fails on all three axes.
+        // With the default config the same drift fails on both fields.
         let strict = compare(&base, &cand, &GateConfig::default());
-        assert!(strict.violations.len() >= 3, "{}", strict.render());
+        assert_eq!(strict.violations.len(), 2, "{}", strict.render());
     }
 
     #[test]

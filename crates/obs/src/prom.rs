@@ -7,11 +7,10 @@
 //! [`HistogramData::bucket_bound`]), and the aggregated span tree as four
 //! labelled counter families (`mc3_span_wall_nanoseconds_total`,
 //! `mc3_span_instances_total`, `mc3_span_allocs_total`,
-//! `mc3_span_alloc_bytes_total`, label `span="<path>"`). The session's
-//! memory high-water marks surface as two gauges
-//! (`mc3_peak_live_bytes`, `mc3_peak_rss_bytes`); the global allocator
-//! counters (`mem_allocs`, ...) and the `alloc_size_bytes` histogram flow
-//! through the ordinary counter/histogram paths.
+//! `mc3_span_alloc_bytes_total`, label `span="<path>"`); those span
+//! families are the whole allocation axis. The memory high-water marks
+//! surface as two gauges (`mc3_peak_live_bytes`, the largest span root's
+//! peak, and `mc3_peak_rss_bytes`).
 //!
 //! `mc3 profile --prom FILE` writes it to a file, and `mc3 serve` opens
 //! every `/metrics` scrape body with it, rendered from
@@ -119,7 +118,7 @@ pub fn prometheus_text(report: &TelemetryReport) -> String {
     }
     let _ = writeln!(
         out,
-        "# HELP mc3_peak_live_bytes Peak net live bytes observed by the tracking allocator during the session."
+        "# HELP mc3_peak_live_bytes Peak net live bytes of the largest span root (tracking allocator)."
     );
     let _ = writeln!(out, "# TYPE mc3_peak_live_bytes gauge");
     let _ = writeln!(out, "mc3_peak_live_bytes {}", report.peak_live_bytes);

@@ -222,7 +222,7 @@ fn negative_verdicts_memoize_and_replay() {
             "seed {seed}: the second solve must replay the memoized verdict"
         );
 
-        // The executor path replays the same verdict too.
+        // The parallel path replays the same verdict too.
         let par = solver(Some(&cache))
             .parallel(true)
             .solve(&instance)

@@ -53,15 +53,7 @@ fn traced_counters(
     let tel = session.finish();
     // sanity: solving actually happened under the session
     assert!(report.solution.verify(instance).is_ok());
-    // The global allocator counters (mem_*) depend on thread scheduling
-    // (worker-pool startup, buffer growth order), so the solver-internals
-    // determinism contract deliberately excludes them. Executor counters
-    // (exec_*) are likewise scheduling artifacts: sequential solves never
-    // touch the shared pool at all, and steal/park totals vary run to run
-    // by construction (see docs/observability.md).
-    let mut counters = tel.counters;
-    counters.retain(|name, _| !name.starts_with("mem_") && !name.starts_with("exec_"));
-    counters
+    tel.counters
 }
 
 #[test]
@@ -290,15 +282,11 @@ fn solves_outside_a_session_record_nothing() {
     // Timings still work without telemetry (TimedSpan measures anyway).
     assert!(report.timings.total.as_nanos() > 0);
     assert!(report.timings.total >= report.timings.solve);
-    // Nothing was recorded: a fresh session sees a clean slate. The mem_*
-    // counters are exempt — the begin/finish window itself is live for the
-    // tracking allocator, so any runtime-thread allocation lands in them.
+    // Nothing was recorded: a fresh session sees a clean slate.
     let tel = Session::begin().finish();
     assert!(tel.spans.is_empty(), "untraced solve leaked spans");
     assert!(
-        tel.counters
-            .iter()
-            .all(|(name, &v)| name.starts_with("mem_") || v == 0),
+        tel.counters.values().all(|&v| v == 0),
         "untraced solve leaked counters"
     );
 }

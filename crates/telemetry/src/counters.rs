@@ -112,14 +112,6 @@ declare_counters! {
     /// Solve cache: components whose canonicalization ran out of budget
     /// (solved uncached).
     CanonBudgetExhausted => "canon_budget_exhausted",
-    /// Memprof: heap allocations observed while the session gate was on.
-    MemAllocs => "mem_allocs",
-    /// Memprof: bytes requested by those allocations.
-    MemAllocBytes => "mem_alloc_bytes",
-    /// Memprof: heap frees observed while the session gate was on.
-    MemFrees => "mem_frees",
-    /// Memprof: bytes released by those frees.
-    MemFreeBytes => "mem_free_bytes",
 }
 
 macro_rules! declare_hists {
@@ -154,8 +146,6 @@ declare_hists! {
     LpIterations => "lp_iterations",
     /// Nanoseconds per solve-cache lookup (hit or miss, incl. re-verify).
     CacheLookupNs => "cache_lookup_ns",
-    /// Requested size in bytes of every tracked heap allocation.
-    AllocSize => "alloc_size_bytes",
 }
 
 /// Number of log2 buckets per histogram: bucket 0 for the value `0`,
@@ -222,19 +212,13 @@ pub fn bucket_bounds(bucket: usize) -> (u64, u64) {
     }
 }
 
-/// Unconditional histogram record, for callers that already checked the
-/// gate (the allocator hook, which must stay branch-minimal).
-pub(crate) fn raw_record(h: Hist, v: u64) {
-    HIST_CELLS[h as usize][bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-    HIST_COUNT[h as usize].fetch_add(1, Ordering::Relaxed);
-    HIST_SUM[h as usize].fetch_add(v, Ordering::Relaxed);
-}
-
 /// Records one observation into a histogram if a session is recording.
 #[inline]
 pub fn record(h: Hist, v: u64) {
     if crate::is_enabled() {
-        raw_record(h, v);
+        HIST_CELLS[h as usize][bucket_of(v)].fetch_add(1, Ordering::Relaxed);
+        HIST_COUNT[h as usize].fetch_add(1, Ordering::Relaxed);
+        HIST_SUM[h as usize].fetch_add(v, Ordering::Relaxed);
     }
 }
 

@@ -22,6 +22,8 @@
 //!   `#[global_allocator]` that attributes allocation counts, bytes and
 //!   live-byte peaks to the current span, exactly-deterministically for
 //!   pinned workloads (the bench-gate pins per-span allocation counts).
+//!   The hook writes only its own thread's cells; every memory figure in
+//!   a report is read off the span tree.
 //!
 //! The hard rule: **when no [`Session`] is recording, everything is a
 //! no-op behind one relaxed atomic load** ([`is_enabled`]). Solver crates
@@ -114,7 +116,6 @@ impl Session {
         let lock = SESSION.lock().unwrap_or_else(|p| p.into_inner());
         counters::reset();
         spans::aggregate().clear();
-        memprof::reset();
         // Pre-grow this thread's span stack while the gate is still off,
         // so deep span nesting never shows up as a tracked allocation.
         spans::reserve_stack(64);
@@ -138,10 +139,10 @@ impl Drop for Session {
 }
 
 /// The report of everything recorded so far, taken without ending the
-/// session: the span aggregate as it stands plus the current counter,
-/// histogram and memory totals. A server that holds one session for its
-/// lifetime renders `/metrics` from this; the totals only grow while the
-/// session lasts, as a Prometheus scraper assumes.
+/// session: the span aggregate as it stands, with its memory tallies,
+/// plus the current counter and histogram totals. A server that holds
+/// one session for its lifetime renders `/metrics` from this; the totals
+/// only grow while the session lasts, as a Prometheus scraper assumes.
 pub fn live_report() -> TelemetryReport {
     // Bound first, so the lock is released before assembly reads the rest.
     let roots = spans::aggregate().clone();

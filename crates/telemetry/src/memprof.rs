@@ -16,27 +16,25 @@
 //!    [`is_enabled`](crate::is_enabled) and delegates straight to the
 //!    system allocator when off — same gate, same cost, as every other
 //!    telemetry primitive.
-//! 2. **The hook never allocates and never touches the span stack.** It
-//!    updates a const-initialized `Cell`-only thread-local (no drop glue,
-//!    no lazy init) and a pair of global atomics. Span attribution is
-//!    done *by the span machinery* instead: opening a span snapshots the
-//!    thread's monotonic totals ([`span_open`]), closing it takes the
-//!    delta ([`span_close`]). Deltas are inclusive of children, exactly
-//!    like `wall_ns`.
+//! 2. **The hook never allocates, never touches the span stack and
+//!    writes only its own thread's cells.** It updates a
+//!    const-initialized `Cell`-only thread-local (no drop glue, no lazy
+//!    init) and no shared state at all, so allocating threads never
+//!    contend. Span attribution is done *by the span machinery* instead:
+//!    opening a span snapshots the thread's monotonic totals
+//!    ([`span_open`]), closing it takes the delta ([`span_close`]).
+//!    Deltas are inclusive of children, exactly like `wall_ns`.
 //! 3. **Per-span peaks nest.** Each open span tracks the high-water mark
 //!    of the thread's net live bytes since it opened; closing restores
 //!    the parent's running peak with `max`, so a child's transient spike
 //!    surfaces in every enclosing span.
 //!
-//! Global counters ([`Counter::MemAllocs`] &c.) and the log2 allocation
-//! size histogram ([`Hist::AllocSize`]) are fed from the same hook, so
-//! the Prometheus exposition and the report's counter table get the
-//! memory axis without any extra plumbing.
+//! Every memory figure is therefore a span tally: the report's totals
+//! and its `peak_live_bytes` are read off the aggregated roots, and an
+//! allocation made outside every span is counted nowhere.
 
-use crate::counters::{self, Counter, Hist};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 
 /// The tracking wrapper installed as the process-wide global allocator.
 ///
@@ -46,12 +44,6 @@ struct TrackingAlloc;
 
 #[global_allocator]
 static GLOBAL: TrackingAlloc = TrackingAlloc;
-
-/// Net live bytes allocated since the session began (signed: frees of
-/// blocks allocated before the gate opened drive it negative).
-static G_LIVE: AtomicI64 = AtomicI64::new(0);
-/// Session-wide high-water mark of `max(0, G_LIVE)`.
-static G_PEAK: AtomicU64 = AtomicU64::new(0);
 
 /// Per-thread monotonic allocation totals plus the net-live tracking the
 /// span machinery snapshots. `Cell`-only and const-initialized so the
@@ -84,15 +76,6 @@ thread_local! {
 fn note_alloc(size: usize) {
     let bytes = size as u64;
     let signed = mc3_core::i64_of(bytes);
-    counters::raw_add(Counter::MemAllocs, 1);
-    counters::raw_add(Counter::MemAllocBytes, bytes);
-    counters::raw_record(Hist::AllocSize, bytes);
-    let live = G_LIVE
-        .fetch_add(signed, Ordering::Relaxed)
-        .wrapping_add(signed);
-    if live > 0 {
-        G_PEAK.fetch_max(live as u64, Ordering::Relaxed);
-    }
     MEM.with(|m| {
         m.allocs.set(m.allocs.get().wrapping_add(1));
         m.alloc_bytes.set(m.alloc_bytes.get().wrapping_add(bytes));
@@ -108,9 +91,6 @@ fn note_alloc(size: usize) {
 fn note_free(size: usize) {
     let bytes = size as u64;
     let signed = mc3_core::i64_of(bytes);
-    counters::raw_add(Counter::MemFrees, 1);
-    counters::raw_add(Counter::MemFreeBytes, bytes);
-    G_LIVE.fetch_sub(signed, Ordering::Relaxed);
     MEM.with(|m| {
         m.frees.set(m.frees.get().wrapping_add(1));
         m.free_bytes.set(m.free_bytes.get().wrapping_add(bytes));
@@ -119,8 +99,8 @@ fn note_free(size: usize) {
 }
 
 // SAFETY: every method delegates verbatim to `System` and only touches
-// plain atomics and a `Cell`-only thread-local afterwards — the hook
-// itself never allocates, so it cannot re-enter.
+// a `Cell`-only thread-local afterwards — the hook itself never
+// allocates, so it cannot re-enter.
 unsafe impl GlobalAlloc for TrackingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         let p = System.alloc(layout);
@@ -158,7 +138,7 @@ unsafe impl GlobalAlloc for TrackingAlloc {
 }
 
 /// Snapshot of one thread's monotonic totals at span open.
-#[derive(Debug, Clone, Copy, Default)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 struct MemSnapshot {
     allocs: u64,
     alloc_bytes: u64,
@@ -220,18 +200,6 @@ pub(crate) fn span_close(state: &SpanMemState) -> RawSpanMem {
             peak_live_bytes: if peak > 0 { peak as u64 } else { 0 },
         }
     })
-}
-
-/// Zeroes the session-wide live/peak tracking (session start). Per-thread
-/// totals are monotonic and need no reset: spans only ever take deltas.
-pub(crate) fn reset() {
-    G_LIVE.store(0, Ordering::Relaxed);
-    G_PEAK.store(0, Ordering::Relaxed);
-}
-
-/// Session-wide peak of net live bytes allocated since [`reset`].
-pub(crate) fn global_peak() -> u64 {
-    G_PEAK.load(Ordering::Relaxed)
 }
 
 /// Peak resident set size of this process in bytes, read from the
@@ -307,5 +275,20 @@ mod tests {
         let state = span_open();
         let mem = span_close(&state);
         assert_eq!(mem, RawSpanMem::default());
+    }
+
+    #[test]
+    fn disabled_gate_tracks_no_allocations() {
+        // Holding the session lock keeps the gate closed throughout.
+        let _lock = crate::SESSION.lock().unwrap_or_else(|p| p.into_inner());
+        assert!(!crate::is_enabled());
+        let before = span_open();
+        let v: Vec<u64> = std::hint::black_box((0..1000).collect());
+        drop(v);
+        let after = span_open();
+        assert_eq!(after.snap, before.snap);
+        assert_eq!(after.net_at_open, before.net_at_open);
+        assert_eq!(span_close(&after), RawSpanMem::default());
+        assert_eq!(span_close(&before), RawSpanMem::default());
     }
 }

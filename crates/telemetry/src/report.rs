@@ -103,8 +103,9 @@ pub struct TelemetryReport {
     pub counters: BTreeMap<String, u64>,
     /// Every registered histogram (empty ones included).
     pub histograms: Vec<HistogramData>,
-    /// Session-wide peak of net live bytes allocated since the gate
-    /// opened (0 when nothing allocated while recording).
+    /// Largest `mem.peak_live_bytes` among the top-level span nodes: the
+    /// live-byte high-water mark of the span root that held the most
+    /// (0 when no root allocated).
     pub peak_live_bytes: u64,
     /// Peak resident set size of the process in bytes (`VmHWM` from
     /// `/proc/self/status`); `None` where the platform offers no
@@ -190,9 +191,15 @@ pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, path: &[&str], raw: &RawS
     }
 }
 
-/// A report of `spans` and the current registry totals and memory peaks.
+/// A report of `spans` and the current registry totals; the live-byte
+/// peak is read off the roots.
 pub(crate) fn assemble(spans: Vec<SpanData>) -> TelemetryReport {
     TelemetryReport {
+        peak_live_bytes: spans
+            .iter()
+            .map(|s| s.mem.peak_live_bytes)
+            .max()
+            .unwrap_or(0),
         spans,
         counters: Counter::ALL
             .iter()
@@ -210,7 +217,6 @@ pub(crate) fn assemble(spans: Vec<SpanData>) -> TelemetryReport {
                 }
             })
             .collect(),
-        peak_live_bytes: memprof::global_peak(),
         peak_rss_bytes: memprof::peak_rss_bytes(),
     }
 }
@@ -684,8 +690,8 @@ impl TelemetryReport {
     }
 
     /// Memory-axis flame dump — the body of `mc3 profile --mem`: bytes
-    /// and allocation counts per span, the session live-bytes peak and
-    /// the process RSS high-water mark.
+    /// and allocation counts per span, their sum over the roots, the
+    /// largest root's live-bytes peak and the process RSS high-water mark.
     pub fn render_mem(&self) -> String {
         let mut out = String::new();
         if self.spans.is_empty() {
@@ -694,12 +700,12 @@ impl TelemetryReport {
         for root in &self.spans {
             render_mem_node(&mut out, root, "", None, None);
         }
-        let allocs = self.counters.get("mem_allocs").copied().unwrap_or(0);
-        let bytes = self.counters.get("mem_alloc_bytes").copied().unwrap_or(0);
+        let allocs: u64 = self.spans.iter().map(|s| s.mem.allocs).sum();
+        let bytes: u64 = self.spans.iter().map(|s| s.mem.alloc_bytes).sum();
         let _ = writeln!(out, "\ntotal: {} in {allocs} allocations", fmt_bytes(bytes));
         let _ = writeln!(
             out,
-            "peak live bytes (session): {}",
+            "peak live bytes (largest span root): {}",
             fmt_bytes(self.peak_live_bytes)
         );
         match self.peak_rss_bytes {
@@ -708,26 +714,6 @@ impl TelemetryReport {
             }
             None => {
                 let _ = writeln!(out, "peak rss (process): not measured on this platform");
-            }
-        }
-        if let Some(h) = self
-            .histograms
-            .iter()
-            .find(|h| h.name == "alloc_size_bytes" && h.count > 0)
-        {
-            let _ = writeln!(
-                out,
-                "\nhistogram {} (n={}, sum={}):",
-                h.name, h.count, h.sum
-            );
-            for &(b, c) in &h.buckets {
-                let (lo, hi) = counters::bucket_bounds(b as usize);
-                let label = if lo == hi {
-                    format!("{lo}")
-                } else {
-                    format!("{lo}..={hi}")
-                };
-                let _ = writeln!(out, "  {label:>12}  {c}");
             }
         }
         out
@@ -961,8 +947,30 @@ mod tests {
         assert!(text.contains("solve"), "{text}");
         assert!(text.contains("setup"), "{text}");
         assert!(text.contains("allocs="), "{text}");
-        assert!(text.contains("peak live bytes (session): 4.0KiB"), "{text}");
+        assert!(
+            text.contains("total: 1.43MiB in 150000 allocations"),
+            "{text}"
+        );
+        assert!(
+            text.contains("peak live bytes (largest span root): 4.0KiB"),
+            "{text}"
+        );
         assert!(text.contains("peak rss (process): 1.00MiB"), "{text}");
+    }
+
+    #[test]
+    fn assembled_peak_is_the_largest_root_peak() {
+        let mut roots = Vec::new();
+        merge_into(
+            &mut roots,
+            &[],
+            &raw("a", 100, vec![raw("a.big", 90_000, vec![])]),
+        );
+        merge_into(&mut roots, &[], &raw("b", 3_000, vec![]));
+        // Only top-level nodes are read: a real child's peak already
+        // surfaces in its root's.
+        assert_eq!(assemble(roots).peak_live_bytes, 1_500);
+        assert_eq!(assemble(Vec::new()).peak_live_bytes, 0);
     }
 
     #[test]
