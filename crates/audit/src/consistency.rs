@@ -33,6 +33,13 @@
 //!    least one allocation-free instance (`min_instance_allocs == 0` in
 //!    the memprof attribution). Skipped when the tree under audit has
 //!    no such waivers.
+//! 7. **Bench baseline ↔ its own spans.** The checked-in
+//!    `BENCH_baseline.json` parses, and its report-level
+//!    `peak_live_bytes` equals its largest span root's
+//!    `mem.peak_live_bytes`, which is how a report derives it. The gate
+//!    does not compare that field, so a hand edit of the root figures
+//!    would otherwise leave it stale. Skipped when the tree has no
+//!    baseline.
 
 use crate::rules::{check_file, RULE_INFOS};
 use crate::{collect_files, load_allowlist};
@@ -162,6 +169,7 @@ pub fn check(root: &Path, tighten_budgets: bool) -> std::io::Result<ConsistencyR
     check_rules(root, &mut report);
     check_budgets(root, &sources, tighten_budgets, &mut report)?;
     check_waivers(&sources, &mut report);
+    check_baseline(root, &mut report);
 
     Ok(report)
 }
@@ -600,6 +608,46 @@ fn run_pinned_workload() -> Result<TelemetryReport, String> {
     }
 }
 
+/// The bench-gate baseline check 7 reads, relative to the workspace root.
+const BASELINE_FILE: &str = "BENCH_baseline.json";
+
+/// Check 7: the baseline's report-level peak is its largest root's peak.
+fn check_baseline(root: &Path, report: &mut ConsistencyReport) {
+    let Ok(text) = std::fs::read_to_string(root.join(BASELINE_FILE)) else {
+        return;
+    };
+    report.checks_run += 1;
+    let parsed = mc3_core::json::parse(&text)
+        .map_err(|e| e.to_string())
+        .and_then(|v| mc3_obs::BaselineFile::from_json(&v));
+    let baseline = match parsed {
+        Ok(b) => b,
+        Err(e) => {
+            report.problems.push(Problem {
+                check: "baseline-parse",
+                subject: BASELINE_FILE.to_owned(),
+                detail: e,
+            });
+            return;
+        }
+    };
+    let roots = &baseline.report.spans;
+    let largest = roots.iter().map(|s| s.mem.peak_live_bytes).max();
+    let recorded = baseline.report.peak_live_bytes;
+    if largest.unwrap_or(0) != recorded {
+        report.problems.push(Problem {
+            check: "baseline-peak",
+            subject: BASELINE_FILE.to_owned(),
+            detail: format!(
+                "report-level peak_live_bytes is {recorded} but the largest span \
+                 root's mem.peak_live_bytes is {}; set the report figure to the \
+                 root's (a report derives it that way)",
+                largest.unwrap_or(0)
+            ),
+        });
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -699,6 +747,50 @@ mod tests {
             "the real tree has waivers; the check must not skip"
         );
         assert!(report.problems.is_empty(), "{}", report.render());
+    }
+
+    #[test]
+    fn the_checked_in_baseline_peak_is_its_largest_root_peak() {
+        let root = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .parent()
+            .and_then(Path::parent)
+            .expect("workspace root");
+        let mut report = ConsistencyReport::default();
+        check_baseline(root, &mut report);
+        assert_eq!(report.checks_run, 1, "the real tree has a baseline");
+        assert!(report.problems.is_empty(), "{}", report.render());
+    }
+
+    #[test]
+    fn a_stale_baseline_peak_is_flagged() {
+        let root = std::env::temp_dir().join("mc3-audit-consistency-baseline-ws");
+        std::fs::create_dir_all(&root).expect("mkdir");
+        let real = Path::new(env!("CARGO_MANIFEST_DIR"))
+            .join("../..")
+            .join(BASELINE_FILE);
+        let text = std::fs::read_to_string(real).expect("read baseline");
+        let json = mc3_core::json::parse(&text).expect("parse baseline");
+        let mut baseline = mc3_obs::BaselineFile::from_json(&json).expect("baseline");
+        baseline.report.peak_live_bytes += 1;
+        let stale = baseline.to_json().to_string_pretty();
+        std::fs::write(root.join(BASELINE_FILE), stale).expect("write");
+        let mut report = ConsistencyReport::default();
+        check_baseline(&root, &mut report);
+        assert!(
+            report.problems.iter().any(|p| p.check == "baseline-peak"),
+            "{:?}",
+            report.problems
+        );
+
+        std::fs::write(root.join(BASELINE_FILE), "not json").expect("write");
+        let mut report = ConsistencyReport::default();
+        check_baseline(&root, &mut report);
+        assert!(report.problems.iter().any(|p| p.check == "baseline-parse"));
+
+        std::fs::remove_dir_all(&root).expect("cleanup");
+        let mut report = ConsistencyReport::default();
+        check_baseline(&root, &mut report);
+        assert_eq!(report.checks_run, 0, "no baseline, nothing to check");
     }
 
     #[test]

@@ -50,7 +50,7 @@ impl<'a> Dinic<'a> {
     /// residual state (for min-cut extraction).
     pub fn max_flow(&mut self, s: NodeId, t: NodeId) -> u64 {
         assert_ne!(s, t, "source and sink must differ");
-        let _span = mc3_telemetry::span("dinic.max_flow");
+        let span = mc3_telemetry::span("dinic.max_flow");
         let mut flow: u64 = 0;
         let mut phases = 0u64;
         let mut paths = 0u64;
@@ -75,6 +75,9 @@ impl<'a> Dinic<'a> {
                 ("augmenting_paths", paths.into()),
             ],
         );
+        // Closed before the certificate check, so `verify.max_flow` sits
+        // beside the kernel span and the kernel's tallies stay its own.
+        drop(span);
         #[cfg(feature = "verify")]
         {
             let _vspan = mc3_telemetry::span("verify.max_flow");

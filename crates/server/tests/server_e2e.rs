@@ -125,6 +125,10 @@ fn serving_plane_end_to_end() {
     assert!(doc.get("queries").and_then(|v| v.as_u64()).unwrap() > 0);
     let cert = doc.get("certificate").expect("certificate block");
     assert_eq!(cert.get("valid").and_then(|v| v.as_bool()), Some(true));
+    let components = doc
+        .get("components")
+        .and_then(|v| v.as_u64())
+        .expect("components field");
     assert!(!doc
         .get("classifiers")
         .and_then(|v| v.as_array())
@@ -151,6 +155,19 @@ fn serving_plane_end_to_end() {
     assert!(
         m1.contains("mc3_span_wall_nanoseconds_total{span=\"solve\"}"),
         "aggregated solve span missing from:\n{m1}"
+    );
+    // The solve cache fingerprints and consults each component where it
+    // is solved, under the request's solve_core.
+    for span in ["cache.canon", "cache.consult"] {
+        assert_eq!(
+            span_instances(&m1, &format!("solve/solve_core/{span}")),
+            components,
+            "one {span} per component in:\n{m1}"
+        );
+    }
+    assert!(
+        span_instances(&m1, "solve/solve_core/cache.insert") >= 1,
+        "{m1}"
     );
 
     let (_, _) = request(addr, "POST", "/solve", Some(&body_bytes));

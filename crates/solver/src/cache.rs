@@ -96,10 +96,9 @@ impl CachedOutcome {
 /// Every entry carries a caller-supplied byte estimate; an insert evicts
 /// least-recently-used entries until the new one fits the budget, and an
 /// entry larger than the whole budget is refused. The new entry is never
-/// its own victim. [`get`](Self::get) refreshes an entry's position;
-/// [`contains`](Self::contains) does not. Both memo layers of `mc3 serve`
-/// run on this type: each [`SolveCache`] shard and the server's
-/// exact-body request cache.
+/// its own victim. [`get`](Self::get) refreshes an entry's position.
+/// Both memo layers of `mc3 serve` run on this type: each
+/// [`SolveCache`] shard and the server's exact-body request cache.
 #[derive(Debug)]
 pub struct ByteLru<V> {
     map: FxHashMap<u128, Slot<V>>,
@@ -137,11 +136,6 @@ impl<V> ByteLru<V> {
         slot.tick = self.tick;
         self.order.insert(self.tick, key);
         Some(&slot.value)
-    }
-
-    /// Whether `key` has an entry, leaving the recency order untouched.
-    pub fn contains(&self, key: u128) -> bool {
-        self.map.contains_key(&key)
     }
 
     /// Inserts (or replaces) `key` as the most recently used entry,
@@ -290,17 +284,6 @@ impl SolveCache {
         self.shard(key).lock().ok()?.lru.get(key).cloned()
     }
 
-    /// Whether an entry (of either polarity) exists for `key`, without
-    /// touching its LRU position or any statistic. This is the
-    /// scheduler's likely-hit probe: it must not perturb eviction order
-    /// or hit accounting, because the actual consult follows moments
-    /// later on a worker.
-    pub fn contains(&self, key: u128) -> bool {
-        self.shard(key)
-            .lock()
-            .is_ok_and(|shard| shard.lru.contains(key))
-    }
-
     /// Records a verified hit.
     pub fn confirm_hit(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
@@ -383,7 +366,7 @@ impl SolveCache {
 
 /// Mixes a component fingerprint with the solver-configuration digest
 /// into the final cache key.
-pub(crate) fn component_key(canonical: &Canonical, config_digest: u64) -> u128 {
+fn component_key(canonical: &Canonical, config_digest: u64) -> u128 {
     let mut h = StableHasher::new();
     h.write_u64(config_digest);
     h.write_u64((canonical.fingerprint() >> 64) as u64);
@@ -412,11 +395,7 @@ pub(crate) fn config_digest(
 /// original queries with their covered masks, and the live weight
 /// oracle (removed / absent → ∞, selected → 0). A component that runs
 /// out of canonicalization budget is counted and solved uncached.
-pub(crate) fn component_canonical(
-    ws: &WorkState<'_>,
-    comp: &[usize],
-    kp: usize,
-) -> Option<Canonical> {
+fn component_canonical(ws: &WorkState<'_>, comp: &[usize], kp: usize) -> Option<Canonical> {
     let queries: Vec<(&mc3_core::Query, u32)> = comp
         .iter()
         .map(|&q| (&ws.instance.queries()[q], ws.covered[q]))
@@ -555,24 +534,31 @@ pub(crate) struct CacheContext {
 }
 
 impl CacheContext {
-    /// The consult for one component, canonicalized by the caller's
-    /// dispatch plan: lookup → remap + re-verify; on a miss, run `solve`
-    /// and memoize its result (an uncoverable verdict included).
+    /// The whole cache protocol for one component: canonicalize, then
+    /// lookup → remap + re-verify; on a miss, run `solve` and memoize its
+    /// result (an uncoverable verdict included). A component whose
+    /// canonicalization runs out of budget is solved uncached.
     pub fn solve_component(
         &self,
         ws: &WorkState<'_>,
         comp: &[usize],
-        canonical: &Canonical,
         solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
     ) -> mc3_core::Result<Vec<ClassifierId>> {
-        let key = component_key(canonical, self.digest);
-        if let Some(consulted) = self.consult(ws, comp, canonical, key) {
+        let canonical = {
+            let _span = mc3_telemetry::span("cache.canon");
+            component_canonical(ws, comp, self.kp)
+        };
+        let Some(canonical) = canonical else {
+            return solve();
+        };
+        let key = component_key(&canonical, self.digest);
+        if let Some(consulted) = self.consult(ws, comp, &canonical, key) {
             return consulted;
         }
         match solve() {
             Ok(ids) => {
                 let _span = mc3_telemetry::span("cache.insert");
-                if let Some(solve) = canonical_sets(ws, canonical, &ids) {
+                if let Some(solve) = canonical_sets(ws, &canonical, &ids) {
                     self.cache.insert(key, solve);
                 }
                 Ok(ids)
@@ -688,8 +674,11 @@ mod tests {
         cache.insert(32, entry(1, 3));
         // An entry larger than a shard's budget is not admitted.
         cache.insert(48, entry(100_000, 4));
-        assert!(!cache.contains(0), "LRU entry evicted");
-        assert!(!cache.contains(48), "oversized entry refused");
+        assert!(cache.lookup_outcome(0).is_none(), "LRU entry evicted");
+        assert!(
+            cache.lookup_outcome(48).is_none(),
+            "oversized entry refused"
+        );
         let s = cache.stats();
         assert_eq!((s.insertions, s.evictions, s.entries), (3, 1, 2));
         assert_eq!(s.resident_bytes, 2 * entry(1, 0).bytes() as u64);
@@ -703,12 +692,11 @@ mod tests {
             cache.lookup_outcome(11),
             Some(CachedOutcome::Uncoverable)
         ));
-        assert!(cache.contains(11));
         cache.confirm_negative_hit(11);
         let s = cache.stats();
         assert_eq!((s.negative_hits, s.entries, s.insertions), (1, 1, 1));
         cache.reject(11);
-        assert!(!cache.contains(11));
+        assert!(cache.lookup_outcome(11).is_none());
     }
 
     /// A map whose budget fits exactly two unit-charged entries.
@@ -736,21 +724,9 @@ mod tests {
         lru.insert(1, 1, 1);
         assert_eq!(lru.insert(3, 9, 3), None);
         assert_eq!(lru.insert(1, 9, 3), None, "refusal keeps the old entry");
-        assert!(!lru.contains(3));
+        assert_eq!(lru.get(3), None);
         assert_eq!(lru.get(1), Some(&1));
         assert_eq!((lru.len(), lru.bytes()), (1, 1));
-    }
-
-    #[test]
-    fn lru_contains_probe_does_not_perturb_order() {
-        let mut lru = two_slot_lru();
-        lru.insert(0, 1, 1);
-        lru.insert(16, 2, 1);
-        // A get would promote key 0; the probe must not.
-        assert!(lru.contains(0));
-        lru.insert(32, 3, 1);
-        assert!(!lru.contains(0), "key 0 stayed the LRU victim");
-        assert!(lru.contains(16));
     }
 
     #[test]
@@ -786,7 +762,8 @@ mod tests {
         assert_eq!(lru.len(), 3);
         assert_eq!(lru.bytes(), 3 * charge(1000));
         assert_eq!(lru.get(0), Some(&body(0)));
-        assert!(!lru.contains(1) && !lru.contains(2));
+        assert_eq!(lru.get(1), None);
+        assert_eq!(lru.get(2), None);
         assert_eq!(lru.get(4), Some(&body(4)));
         // A response larger than the whole budget is never admitted.
         assert_eq!(lru.insert(9, body(9), charge(4000)), None);

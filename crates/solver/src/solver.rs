@@ -87,10 +87,10 @@ pub struct SolverConfig {
     /// Size thresholds for the simplex-based LP rounding path.
     pub lp_limits: LpLimits,
     /// Solve the property-connected components (Observation 3.2:
-    /// sub-instances are independent) on `min(cores, groups)` scoped
+    /// sub-instances are independent) on `min(cores, components)` scoped
     /// threads instead of inline on the calling thread. Both modes run
-    /// the same dispatch plan and produce the same solution and
-    /// counters.
+    /// the same component loop; without a cache they produce the same
+    /// solution and counters.
     pub parallel: bool,
     /// Consider only classifiers of length ≤ `k'` (§5.3, bounded
     /// classifiers); `None` = the full universe.
@@ -439,70 +439,31 @@ impl Mc3Solver {
             }
         };
 
-        // The dispatch plan, one for both execution modes. Fingerprint
-        // every component up front (the group tasks reuse the
-        // canonicalizations), then:
-        //  - duplicate fingerprints within this request collapse onto one
-        //    leader — followers consult the cache *after* their leader
-        //    solved and inserted, so each shape is solved once and fanned
-        //    out through the verified remap;
-        //  - leaders already present in the cache ("hot") run first, in
-        //    component order: they are near-certain cheap remaps;
-        //  - cold leaders and unfingerprintable components run
-        //    largest-first so the expensive solves start immediately
-        //    while small ones backfill idle threads.
-        // Without a cache every component is its own cold leader.
-        let canonicals: Vec<Option<mc3_core::canon::Canonical>> = match &cache_ctx {
-            Some(ctx) => {
-                let _span = mc3_telemetry::span("cache.canon");
-                comps
-                    .iter()
-                    .map(|c| crate::cache::component_canonical(&ws, c, ctx.kp))
-                    .collect()
-            }
-            None => comps.iter().map(|_| None).collect(),
-        };
-        let mut followers: Vec<Vec<usize>> = vec![Vec::new(); comps.len()];
-        let mut hot: Vec<usize> = Vec::new();
-        let mut cold: Vec<usize> = Vec::with_capacity(comps.len());
-        {
-            let mut leader_of: mc3_core::FxHashMap<u128, usize> = mc3_core::FxHashMap::default();
-            for (i, canonical) in canonicals.iter().enumerate() {
-                let (Some(ctx), Some(canonical)) = (&cache_ctx, canonical) else {
-                    cold.push(i);
-                    continue;
-                };
-                let key = crate::cache::component_key(canonical, ctx.digest);
-                match leader_of.entry(key) {
-                    std::collections::hash_map::Entry::Occupied(leader) => {
-                        followers[*leader.get()].push(i);
-                    }
-                    std::collections::hash_map::Entry::Vacant(slot) => {
-                        slot.insert(i);
-                        if ctx.cache.contains(key) {
-                            hot.push(i);
-                        } else {
-                            cold.push(i);
-                        }
-                    }
-                }
-            }
-        }
-        // Descending size, index-stable: deterministic dispatch order.
-        cold.sort_by_key(|&i| (usize::MAX - comps[i].len(), i));
-
-        // The group task: a leader, then its followers, each writing its
-        // own result slot.
+        // One loop for both execution modes: workers take the next
+        // component from one cursor over the components sorted largest
+        // first (a stable sort, so ties keep index order). The expensive
+        // solves start first while small ones backfill, and the copies of
+        // a repeated shape share a size, so the first copy solves and
+        // fills the cache before the later ones consult it. Each
+        // component is fingerprinted, consulted and solved where it is
+        // taken, and writes its own result slot.
+        let mut order: Vec<usize> = (0..comps.len()).collect();
+        order.sort_by_key(|&i| std::cmp::Reverse(comps[i].len()));
         let results: Vec<std::sync::Mutex<Option<Result<Vec<ClassifierId>>>>> =
             comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let solve_group = |leader: usize, scratch: &mut crate::reduction::ReductionScratch| {
-            for &i in std::iter::once(&leader).chain(&followers[leader]) {
+        let next = std::sync::atomic::AtomicUsize::new(0);
+        let work = || {
+            let mut scratch = crate::reduction::ReductionScratch::new();
+            loop {
+                // audit:allow(no-relaxed-atomics) reviewed: ticket counter — only atomicity matters; results cross threads through their mutexes and the scope's join
+                let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                let Some(&i) = order.get(ticket) else {
+                    break;
+                };
                 let comp: &[usize] = &comps[i];
-                let r = match (&cache_ctx, &canonicals[i]) {
-                    (Some(ctx), Some(canonical)) => {
-                        ctx.solve_component(&ws, comp, canonical, || run_core(comp, &mut *scratch))
-                    }
-                    _ => run_core(comp, &mut *scratch),
+                let r = match &cache_ctx {
+                    Some(ctx) => ctx.solve_component(&ws, comp, || run_core(comp, &mut scratch)),
+                    None => run_core(comp, &mut scratch),
                 };
                 if let Ok(mut slot) = results[i].lock() {
                     *slot = Some(r);
@@ -512,28 +473,15 @@ impl Mc3Solver {
         let threads = if self.config.parallel {
             std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
-                .min(hot.len() + cold.len())
+                .min(comps.len())
         } else {
             1
         };
         if threads > 1 {
-            // The calling thread and `threads - 1` helpers take the next
-            // leader from one cursor over the plan order; a helper files
-            // its span roots under the caller's open spans. A helper that
-            // fails to spawn only leaves more leaders to the others.
-            let plan: Vec<usize> = hot.iter().chain(&cold).copied().collect();
-            let next = std::sync::atomic::AtomicUsize::new(0);
-            let work = || {
-                let mut scratch = crate::reduction::ReductionScratch::new();
-                loop {
-                    // audit:allow(no-relaxed-atomics) reviewed: ticket counter — only atomicity matters; results cross threads through their mutexes and the scope's join
-                    let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    let Some(&leader) = plan.get(ticket) else {
-                        break;
-                    };
-                    solve_group(leader, &mut scratch);
-                }
-            };
+            // The calling thread and `threads - 1` helpers share the
+            // cursor; a helper files its span roots under the caller's
+            // open spans. A helper that fails to spawn only leaves more
+            // components to the others.
             let parent = mc3_telemetry::SpanParent::current();
             std::thread::scope(|s| {
                 let helpers: Vec<_> = (1..threads)
@@ -558,10 +506,7 @@ impl Mc3Solver {
                 }
             });
         } else {
-            let mut scratch = crate::reduction::ReductionScratch::new();
-            for &leader in hot.iter().chain(&cold) {
-                solve_group(leader, &mut scratch);
-            }
+            work();
         }
         // Gathered in component order, so the reported error is the
         // lowest-index component's in both modes.

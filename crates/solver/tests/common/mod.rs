@@ -9,9 +9,10 @@ const STRIDE: u32 = 6;
 /// One seeded component shape replicated `copies` times on disjoint
 /// property ranges (`p`, `p + 6`, `p + 12`, …), with weights that depend
 /// only on each property's offset within its range. Every copy is
-/// therefore isomorphic to the first, so a cached solve dispatches the
-/// later copies as followers of the first one. Queries have length 1–4,
-/// so Short-First has both short and long queries to work on.
+/// therefore isomorphic to the first, so a cached solve answers the
+/// later copies from the entry the first one inserted. Queries have
+/// length 1–4, so Short-First has both short and long queries to work
+/// on.
 pub fn replicated_instance(seed: u64, copies: u32) -> Instance {
     let mut rng = StdRng::seed_from_u64(seed.wrapping_mul(0x2545_F491).wrapping_add(11));
     let shape: Vec<Vec<u32>> = (0..rng.gen_range(2..=5usize))

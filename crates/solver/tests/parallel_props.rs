@@ -1,17 +1,18 @@
-//! Properties of `parallel(true)`, which runs the solve's dispatch plan
-//! on scoped threads, as exercised through the full solve pipeline:
+//! Properties of `parallel(true)`, which runs the solve's one component
+//! loop on scoped threads, as exercised through the full solve pipeline:
 //!
 //! * **parallel ≡ sequential** — over a 200-instance seeded corpus of
 //!   multi-component instances, `parallel(true)` selects exactly the
 //!   classifiers of the sequential solve (the determinism contract:
-//!   results never depend on scheduling order), and so does one
-//!   300-component instance, many more groups than threads;
-//! * **cache-aware scheduling is cost-transparent** — with a shared
-//!   `SolveCache` (hot-first dispatch + intra-request dedup active),
-//!   parallel re-solves reproduce the sequential cost with a verifying
-//!   cover, and on replicated shapes (intra-request followers) the
-//!   inline and threaded runs of the one dispatch plan select the same
-//!   classifiers with the same cache hits, misses and insertions.
+//!   without a cache, results never depend on scheduling order), and so
+//!   does one 300-component instance, many more components than threads;
+//! * **a cache solves each repeated shape once inline** — on replicated
+//!   shapes, an inline cached solve consults once per component, inserts
+//!   once per miss and misses at most once per shape;
+//! * **a cache under threads keeps the cost** — `parallel(true)` with a
+//!   shared `SolveCache` returns a verifying cover at the uncached cost
+//!   and consults once per component. Two threads may both miss on one
+//!   shape, so hits and the concrete classifiers are not pinned there.
 
 mod common;
 
@@ -62,65 +63,103 @@ fn parallel_selects_the_sequential_classifiers_over_corpus() {
     }
 }
 
+/// Copies of one shape in each replicated instance.
+const COPIES: u32 = 4;
+
 #[test]
-fn cache_aware_scheduling_preserves_sequential_cost() {
+fn inline_cached_solves_solve_each_repeated_shape_once() {
+    // Copies of a shape share a size, so the largest-first order takes
+    // the first copy before the later ones: it misses and inserts, and
+    // every later copy consults the entry it left.
+    for seed in 0..40 {
+        let instance = replicated_instance(seed, COPIES);
+        let uncached = Mc3Solver::new()
+            .without_preprocessing()
+            .solve(&instance)
+            .expect("uncached solve");
+        let cache = Arc::new(SolveCache::with_capacity_mb(8));
+        let report = Mc3Solver::new()
+            .without_preprocessing()
+            .cache(Arc::clone(&cache))
+            .solve_report(&instance)
+            .expect("cached solve");
+        report.solution.verify(&instance).expect("cached cover");
+        assert_eq!(uncached.cost(), report.solution.cost(), "seed {seed}");
+        let s = cache.stats();
+        let components = report.components as u64;
+        assert_eq!(
+            s.hits + s.misses,
+            components,
+            "seed {seed}: every component consults once"
+        );
+        assert_eq!(s.insertions, s.misses, "seed {seed}: every miss inserts");
+        assert!(
+            s.misses <= components / u64::from(COPIES),
+            "seed {seed}: {} misses for {components} components in {COPIES} copies",
+            s.misses
+        );
+    }
+}
+
+#[test]
+fn parallel_cached_solves_keep_the_uncached_cost() {
+    // Two threads may take copies of one shape at the same moment and
+    // both miss, so hits and classifiers are not pinned: only the cost,
+    // the cover and one consult per component.
+    for seed in 0..40 {
+        let instance = replicated_instance(seed, COPIES);
+        let uncached = Mc3Solver::new()
+            .without_preprocessing()
+            .solve(&instance)
+            .expect("uncached solve");
+        let cache = Arc::new(SolveCache::with_capacity_mb(8));
+        let report = Mc3Solver::new()
+            .without_preprocessing()
+            .parallel(true)
+            .cache(Arc::clone(&cache))
+            .solve_report(&instance)
+            .expect("parallel cached solve");
+        report
+            .solution
+            .verify(&instance)
+            .expect("parallel cached cover");
+        assert_eq!(
+            uncached.cost(),
+            report.solution.cost(),
+            "seed {seed}: the cache drifted the cost"
+        );
+        let s = cache.stats();
+        assert_eq!(
+            s.hits + s.misses,
+            report.components as u64,
+            "seed {seed}: every component consults once"
+        );
+    }
+
+    // A warm re-solve is answered from the cache at the sequential cost.
     for seed in 0..40 {
         let instance = multi_component_instance(seed, 4, 3);
         let seq = Mc3Solver::new().solve(&instance).expect("sequential");
-
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
         for round in 0..2 {
-            // Round 0 is all-cold (largest-first ordering); round 1
-            // dispatches every component down the hot path.
             let par = Mc3Solver::new()
                 .parallel(true)
                 .cache(Arc::clone(&cache))
                 .solve(&instance)
                 .expect("parallel cached");
             par.verify(&instance).expect("parallel cached cover");
-            assert_eq!(
-                seq.cost(),
-                par.cost(),
-                "seed {seed} round {round}: cache-aware scheduling drifted the cost"
-            );
+            assert_eq!(seq.cost(), par.cost(), "seed {seed} round {round}");
         }
         assert!(
             cache.stats().hits > 0,
-            "seed {seed}: warm re-solve must take the hot path"
+            "seed {seed}: the warm re-solve must hit"
         );
-    }
-
-    // Intra-request followers: replicated shapes collapse onto one
-    // leader per shape. The inline and threaded runs of the one plan
-    // must select the same classifiers and consult the cache alike.
-    for seed in 0..40 {
-        let instance = replicated_instance(seed, 4);
-        let run = |parallel: bool| {
-            let cache = Arc::new(SolveCache::with_capacity_mb(8));
-            let sol = Mc3Solver::new()
-                .without_preprocessing()
-                .parallel(parallel)
-                .cache(Arc::clone(&cache))
-                .solve(&instance)
-                .expect("cached solve");
-            sol.verify(&instance).expect("cached cover");
-            let s = cache.stats();
-            (sol.classifiers().to_vec(), (s.hits, s.misses, s.insertions))
-        };
-        let (seq, seq_stats) = run(false);
-        let (par, par_stats) = run(true);
-        assert_eq!(seq, par, "seed {seed}: inline and threaded plans diverged");
-        assert_eq!(
-            seq_stats, par_stats,
-            "seed {seed}: (hits, misses, insertions) diverged"
-        );
-        assert!(seq_stats.0 > 0, "seed {seed}: followers must hit");
     }
 }
 
 #[test]
 fn many_components_select_the_sequential_classifiers() {
-    // Hundreds of tiny components, so every thread takes many leaders
+    // Hundreds of tiny components, so every thread takes many of them
     // from the shared cursor. Preprocessing can cover queries before
     // decomposition; disable it so every component is dispatched.
     let instance = multi_component_instance(99, 300, 2);
