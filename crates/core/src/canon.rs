@@ -33,7 +33,9 @@
 //! lexicographically minimal leaf encoding wins. Both the refinement and
 //! the target-cell rule are isomorphism-invariant, so relabeled
 //! instances produce the same encoding (Theorem: the leaf set of the
-//! search tree is invariant; we take its minimum).
+//! search tree is invariant; we take its minimum). Of several leaves
+//! with the minimal encoding, the first in search order gives the
+//! relabeling.
 //!
 //! The seed carries the weights of multi-property classifiers, not just
 //! singleton weights: with distinct costs, properties that the
@@ -41,11 +43,43 @@
 //! search does not branch over them. The refinement itself stays on the
 //! incidence; the seed's colors persist into every search node.
 //!
+//! Everything lives in flat buffers allocated once per call: query
+//! members in CSR form, the weight entries' properties in one array, one
+//! coloring per search depth, and the refinement signatures, the leaf
+//! encoding and its records in scratch that every round and every leaf
+//! reuses. The seed's `(size, weight)` pairs are bucketed per property by
+//! a counting pass. A singleton classifier that a later query reports
+//! again at the same weight counts in the seed but adds no record to the
+//! encoding, which keeps one per distinct entry. A leaf's records (query
+//! reps and weight entries) are written to one arena and sorted by a
+//! packed prefix key, falling back to their words only on equal keys.
+//! Refinement returns at once on a discrete coloring, which no round can
+//! split.
+//!
+//! The search prunes subtrees that are automorphic images of subtrees
+//! explored earlier (McKay & Piperno, "Practical graph isomorphism,
+//! II", 2014). A later leaf whose encoding equals the first leaf's
+//! yields γ = (its labeling)⁻¹ ∘ (the first leaf's), an automorphism
+//! once it is also checked to preserve the seed coloring, which the
+//! encoding does not carry. With `d` the length of the path prefix
+//! shared with the first leaf, the search abandons the current subtree
+//! back to depth `d` only after checking that γ fixes that prefix
+//! pointwise and maps the first path's next property to this path's.
+//! Every pruned leaf has a leaf of equal encoding earlier in search
+//! order, so the first minimal leaf, and with it the relabeling, is the
+//! one the unpruned search returns. On a fully symmetric query of
+//! length `n` this leaves one leaf per first-path node and child,
+//! `1 + n(n - 1)/2` in all, instead of `n!`.
+//!
 //! The search carries a **work budget**; pathologically symmetric
 //! instances exhaust it and [`canonicalize`] returns `None` (callers
-//! simply skip caching). The budget accounting itself is
-//! isomorphism-invariant, so either *all* relabelings of an instance
-//! canonicalize or none do.
+//! simply skip caching). Pruning only removes work, so whatever the
+//! unpruned search canonicalizes within a budget still canonicalizes,
+//! with the same output. How much pruning saves depends on the order in
+//! which automorphisms turn up, and that follows the order of the local
+//! property ids, so near the budget one relabeling of an instance may
+//! canonicalize while another aborts. An abort costs only a cache miss:
+//! that component is solved uncached.
 //!
 //! # Fingerprints
 //!
@@ -194,8 +228,6 @@ pub struct Canonical {
     from_canonical: Vec<PropId>,
     /// `(original, canonical)` pairs sorted by original id, for reverse lookup.
     to_canonical: Vec<(PropId, u32)>,
-    /// Length of the canonical encoding, in words (size signal for caches).
-    encoding_words: usize,
 }
 
 impl Canonical {
@@ -207,11 +239,6 @@ impl Canonical {
     /// Number of distinct properties in the canonicalized instance.
     pub fn num_props(&self) -> usize {
         self.from_canonical.len()
-    }
-
-    /// Length of the canonical encoding in `u64` words.
-    pub fn encoding_words(&self) -> usize {
-        self.encoding_words
     }
 
     /// The original property carrying canonical id `c`.
@@ -233,40 +260,224 @@ impl Canonical {
     }
 }
 
-/// One finite weight-oracle entry: a classifier as a query-local mask.
+/// One finite weight-oracle entry: its properties (local ids, ascending)
+/// are `entry_props[start..start + len]`.
 struct WeightEntry {
-    query: u32,
-    mask: u32,
+    start: u32,
+    len: u32,
     weight_raw: u64,
+    /// A singleton already reported, at the same weight, from an earlier
+    /// query: the seed counts it, the encoding keeps one record.
+    repeat: bool,
 }
 
-/// Everything precomputed once per [`canonicalize`] call.
-struct CanonCtx<'a> {
-    /// Sorted distinct original properties; index = local prop id.
-    props: Vec<PropId>,
-    /// Per query: members as local prop ids (sorted ascending).
-    q_members: Vec<Vec<u32>>,
+/// What a finished search node tells its parent.
+enum Step {
+    /// Go on with the next child.
+    Next,
+    /// Abandon every node deeper than this depth: the rest of the
+    /// current subtree there is an automorphic image of one explored
+    /// earlier.
+    Backjump(usize),
+}
+
+/// A leaf kept for comparison: its encoding and its discrete coloring.
+#[derive(Default)]
+struct Leaf {
+    words: Vec<u64>,
+    colors: Vec<u32>,
+}
+
+/// One encoding record, `arena[start..start + len]`, with a key whose
+/// order agrees with the lexicographic order of the words.
+///
+/// The key packs the leading words most significant first, each in a
+/// fixed-width field — lengths and counts 8 bits, canonical ids
+/// [`CanonCtx::id_bits`], weights 64 — for as long as they fit in 128
+/// bits. A field's position depends only on the words before it (a
+/// length or count fixes how many ids follow), so two records compare
+/// field by field. When the whole record fits (`complete`), equal keys
+/// mean equal words; otherwise equal keys fall back to the words.
+#[derive(Clone, Copy)]
+struct Rec {
+    key: u128,
+    start: u32,
+    len: u32,
+    complete: bool,
+}
+
+/// Builds a [`Rec`] key field by field.
+struct KeyPacker {
+    key: u128,
+    free: u32,
+    complete: bool,
+}
+
+impl KeyPacker {
+    fn new() -> Self {
+        KeyPacker {
+            key: 0,
+            free: 128,
+            complete: true,
+        }
+    }
+
+    /// Appends `word` in a `bits`-wide field (`word < 2^bits`).
+    fn push(&mut self, word: u64, bits: u32) {
+        if self.complete && bits <= self.free {
+            self.free -= bits;
+            self.key |= u128::from(word) << self.free;
+        } else {
+            self.complete = false;
+        }
+    }
+
+    fn push_ids(&mut self, ids: &[u64], bits: u32) {
+        for &id in ids {
+            self.push(id, bits);
+        }
+    }
+
+    /// The record `arena[start..]`.
+    fn finish(self, arena: &[u64], start: usize) -> Rec {
+        Rec {
+            key: self.key,
+            start: u32_of(start),
+            len: u32_of(arena.len() - start),
+            complete: self.complete,
+        }
+    }
+}
+
+/// Sorts records into the lexicographic order of their words: by key,
+/// then runs of equal keys that do not hold their whole record by words.
+fn sort_recs(recs: &mut [Rec], arena: &[u64]) {
+    recs.sort_unstable_by_key(|r| r.key);
+    for run in recs.chunk_by_mut(|a, b| a.key == b.key) {
+        if run.len() > 1 && !run[0].complete {
+            run.sort_unstable_by_key(|r| &arena[r.start as usize..(r.start + r.len) as usize]);
+        }
+    }
+}
+
+/// Iterates the set bits of `mask`, ascending.
+fn bits(mut mask: u32) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (mask != 0).then(|| {
+            let bit = mask.trailing_zeros() as usize;
+            mask &= mask - 1;
+            bit
+        })
+    })
+}
+
+/// Buffers reused by every refinement round and every leaf of one call.
+#[derive(Default)]
+struct Scratch {
+    qsig: Vec<u128>,
+    psig: Vec<u128>,
+    words: Vec<u64>,
+    occ_keys: Vec<(u64, u128)>,
+    order: Vec<(u128, u32)>,
+    next: Vec<u32>,
+    count: Vec<u32>,
+    arena: Vec<u64>,
+    recs: Vec<Rec>,
+    leaf: Vec<u64>,
+    inverse: Vec<u32>,
+}
+
+/// Everything precomputed once per [`canonicalize`] call, plus the search
+/// state.
+struct CanonCtx {
+    /// Number of distinct properties; local prop ids are `0..n`.
+    n: usize,
+    /// Classifier length bound `k'`.
+    kp: usize,
+    /// Width of a canonical id in a [`Rec`] key.
+    id_bits: u32,
+    /// CSR query members: query `qi` holds the local prop ids
+    /// `members[q_off[qi]..q_off[qi + 1]]`, ascending.
+    q_off: Vec<usize>,
+    members: Vec<u32>,
     /// Per query: covered mask in query-local bit positions.
-    q_covered: &'a [u32],
+    q_covered: Vec<u32>,
     /// CSR incidence: for local prop `i`, `occ[occ_off[i]..occ_off[i+1]]`
     /// is its `(query index, bit position within query)` occurrences.
     occ_off: Vec<usize>,
     occ: Vec<(u32, u32)>,
-    /// Finite weight-oracle entries, grouped by query, ascending mask.
+    /// Finite weight-oracle entries, grouped by query, ascending mask,
+    /// and their properties.
     weights: Vec<WeightEntry>,
-    /// Classifier length bound `k'`.
-    kp: usize,
+    entry_props: Vec<u32>,
+    /// The seed coloring; a derived automorphism must preserve it.
+    seed: Vec<u32>,
     /// Remaining work units; `None` from any step once exhausted.
     budget: usize,
+    /// The coloring of the search node at depth `d` is
+    /// `levels[d * n..(d + 1) * n]`.
+    levels: Vec<u32>,
+    /// `path[d]`: the property individualized below depth `d` on the
+    /// current path.
+    path: Vec<u32>,
+    /// The first leaf found, and the properties individualized on the
+    /// way to it; later leaves with its encoding yield automorphisms.
+    first: Leaf,
+    first_path: Vec<u32>,
+    /// The first leaf with the minimal encoding so far, once one beats
+    /// `first`.
+    best: Option<Leaf>,
+    s: Scratch,
 }
 
-impl CanonCtx<'_> {
-    fn n(&self) -> usize {
-        self.props.len()
+/// Re-ranks per-prop keys into dense colors `0..distinct`, ordered by key
+/// value, written to `out`. Returns `distinct`.
+fn rerank(keys: &[u128], order: &mut Vec<(u128, u32)>, out: &mut Vec<u32>) -> usize {
+    order.clear();
+    order.extend(keys.iter().enumerate().map(|(i, &k)| (k, u32_of(i))));
+    order.sort_unstable();
+    out.clear();
+    out.resize(keys.len(), 0);
+    let mut distinct = 0usize;
+    let mut prev: Option<u128> = None;
+    for &(k, i) in order.iter() {
+        if prev != Some(k) {
+            distinct += 1;
+            prev = Some(k);
+        }
+        out[i as usize] = u32_of(distinct - 1);
     }
+    distinct
+}
 
+/// Fills a CSR table from `(key, item)` pairs: every iterator `emit`
+/// returns yields the same sequence, and afterwards key `k`'s items, in
+/// that order, are `items[off[k]..off[k + 1]]`. `off` holds one zeroed
+/// slot per key plus one, `items` one slot per item.
+fn csr_fill<T: Copy, I: Iterator<Item = (u32, T)>>(
+    off: &mut [usize],
+    items: &mut [T],
+    emit: impl Fn() -> I,
+) {
+    for (k, _) in emit() {
+        off[k as usize + 1] += 1;
+    }
+    for k in 1..off.len() {
+        off[k] += off[k - 1];
+    }
+    // Shifted one slot right, off[k + 1] is key k's start: fill with it
+    // as the cursor, and it ends at key k's end.
+    off.copy_within(..off.len() - 1, 1);
+    for (k, item) in emit() {
+        let at = &mut off[k as usize + 1];
+        items[*at] = item;
+        *at += 1;
+    }
+}
+
+impl CanonCtx {
     fn m(&self) -> usize {
-        self.q_members.len()
+        self.q_covered.len()
     }
 
     /// Deducts `units` of work; `None` when the budget runs dry.
@@ -279,183 +490,239 @@ impl CanonCtx<'_> {
         Some(())
     }
 
-    /// Re-ranks arbitrary per-prop keys into dense colors `0..distinct`,
-    /// ordered by key value. Returns `(colors, distinct)`.
-    fn rerank(&self, keys: &[u128]) -> (Vec<u32>, usize) {
-        let mut order: Vec<u32> = (0..u32_of(keys.len())).collect();
-        order.sort_unstable_by_key(|&i| keys[i as usize]);
-        let mut colors = vec![0u32; keys.len()];
-        let mut distinct = 0usize;
-        let mut prev: Option<u128> = None;
-        for &i in &order {
-            let k = keys[i as usize];
-            if prev != Some(k) {
-                distinct += 1;
-                prev = Some(k);
-            }
-            colors[i as usize] = u32_of(distinct - 1);
-        }
-        (colors, distinct)
-    }
-
-    /// Color refinement to a fixpoint. Input colors may be non-dense;
-    /// the output is a dense coloring ordered by invariant signatures.
-    fn refine(&mut self, colors: &[u32]) -> Option<(Vec<u32>, usize)> {
-        let n = self.n();
-        let m = self.m();
-        let keys: Vec<u128> = colors.iter().map(|&c| u128::from(c)).collect();
-        let (mut colors, mut distinct) = self.rerank(&keys);
-        if n == 0 {
-            return Some((colors, distinct));
-        }
-        loop {
+    /// Color refinement to a fixpoint, in place on the dense coloring of
+    /// the node at `depth` with `distinct` classes; returns the class
+    /// count. A discrete coloring cannot split, so it returns at once.
+    fn refine(&mut self, depth: usize, mut distinct: usize) -> Option<usize> {
+        let (n, m) = (self.n, self.m());
+        let base = depth * n;
+        while distinct < n {
             self.charge(n + m + self.occ.len())?;
+            let colors = &self.levels[base..base + n];
+            let s = &mut self.s;
             // Per-query signature over member colors + covered flags.
-            let mut qsig = Vec::with_capacity(m);
-            let mut member_keys: Vec<u64> = Vec::new();
-            for (qi, members) in self.q_members.iter().enumerate() {
-                member_keys.clear();
+            s.qsig.clear();
+            for qi in 0..m {
+                let members = &self.members[self.q_off[qi]..self.q_off[qi + 1]];
+                let covered = self.q_covered[qi];
+                s.words.clear();
                 for (bit, &p) in members.iter().enumerate() {
-                    let covered = u64::from((self.q_covered[qi] >> bit) & 1);
-                    member_keys.push((u64::from(colors[p as usize]) << 1) | covered);
+                    let flag = u64::from((covered >> bit) & 1);
+                    s.words.push((u64::from(colors[p as usize]) << 1) | flag);
                 }
-                member_keys.sort_unstable();
+                s.words.sort_unstable();
                 let mut h = StableHasher::new();
                 h.write_u64(members.len() as u64);
-                h.write_words(&member_keys);
-                qsig.push(h.finish128());
+                h.write_words(&s.words);
+                s.qsig.push(h.finish128());
             }
             // Per-prop signature: old color + sorted occurrence multiset.
-            let mut psig = Vec::with_capacity(n);
-            let mut occ_keys: Vec<(u64, u128)> = Vec::new();
-            for p in 0..n {
-                occ_keys.clear();
+            s.psig.clear();
+            for (p, &color) in colors.iter().enumerate() {
+                s.occ_keys.clear();
                 for &(qi, bit) in &self.occ[self.occ_off[p]..self.occ_off[p + 1]] {
-                    let covered = u64::from((self.q_covered[qi as usize] >> bit) & 1);
-                    occ_keys.push((covered, qsig[qi as usize]));
+                    let flag = u64::from((self.q_covered[qi as usize] >> bit) & 1);
+                    s.occ_keys.push((flag, s.qsig[qi as usize]));
                 }
-                occ_keys.sort_unstable();
+                s.occ_keys.sort_unstable();
                 let mut h = StableHasher::new();
-                h.write_u64(u64::from(colors[p]));
-                for &(covered, sig) in &occ_keys {
-                    h.write_u64(covered);
+                h.write_u64(u64::from(color));
+                for &(flag, sig) in &s.occ_keys {
+                    h.write_u64(flag);
                     h.write_u64((sig >> 64) as u64);
                     h.write_u64(sig as u64);
                 }
-                psig.push(h.finish128());
+                s.psig.push(h.finish128());
             }
-            let (next, next_distinct) = self.rerank(&psig);
+            let next_distinct = rerank(&s.psig, &mut s.order, &mut s.next);
             // The old color is part of the signature, so colors only ever
-            // split; an unchanged class count means a fixpoint.
+            // split; an unchanged class count means a fixpoint, and the
+            // coloring in place stands.
             if next_distinct == distinct {
-                return Some((colors, distinct));
+                break;
             }
-            colors = next;
+            self.levels[base..base + n].copy_from_slice(&self.s.next);
             distinct = next_distinct;
         }
+        Some(distinct)
     }
 
-    /// Full canonical encoding of the instance under a discrete coloring
-    /// (`colors` is a bijection local prop id → canonical id).
-    fn encode(&mut self, colors: &[u32]) -> Option<Vec<u64>> {
-        let mut words = Vec::new();
-        words.push(self.n() as u64);
-        words.push(self.m() as u64);
-        words.push(self.kp as u64);
+    /// Writes the full canonical encoding of the instance under the
+    /// discrete coloring at `depth` (a bijection local prop id →
+    /// canonical id) to `self.s.leaf`.
+    fn encode(&mut self, depth: usize) -> Option<()> {
+        let (n, id_bits) = (self.n, self.id_bits);
+        let colors = &self.levels[depth * n..(depth + 1) * n];
+        let s = &mut self.s;
+        s.leaf.clear();
+        s.leaf.push(n as u64);
+        s.leaf.push(self.q_covered.len() as u64);
+        s.leaf.push(self.kp as u64);
         // Queries: each rep = [len, canonical ids…, covered count,
         // covered canonical ids…]; the rep list is sorted so query order
         // never matters.
-        let mut reps: Vec<Vec<u64>> = Vec::with_capacity(self.m());
-        for (qi, members) in self.q_members.iter().enumerate() {
-            let mut ids: Vec<u64> = members
-                .iter()
-                .map(|&p| u64::from(colors[p as usize]))
-                .collect();
-            let mut covered: Vec<u64> = members
-                .iter()
-                .enumerate()
-                .filter(|&(bit, _)| (self.q_covered[qi] >> bit) & 1 == 1)
-                .map(|(_, &p)| u64::from(colors[p as usize]))
-                .collect();
-            ids.sort_unstable();
-            covered.sort_unstable();
-            let mut rep = Vec::with_capacity(ids.len() + covered.len() + 2);
-            rep.push(ids.len() as u64);
-            rep.extend_from_slice(&ids);
-            rep.push(covered.len() as u64);
-            rep.extend_from_slice(&covered);
-            reps.push(rep);
+        s.arena.clear();
+        s.recs.clear();
+        for (qi, &covered) in self.q_covered.iter().enumerate() {
+            let members = &self.members[self.q_off[qi]..self.q_off[qi + 1]];
+            let start = s.arena.len();
+            s.arena.push(members.len() as u64);
+            s.arena
+                .extend(members.iter().map(|&p| u64::from(colors[p as usize])));
+            s.arena[start + 1..].sort_unstable();
+            let count_at = s.arena.len();
+            s.arena.push(u64::from(covered.count_ones()));
+            s.arena
+                .extend(bits(covered).map(|bit| u64::from(colors[members[bit] as usize])));
+            s.arena[count_at + 1..].sort_unstable();
+            let mut key = KeyPacker::new();
+            key.push(s.arena[start], 8);
+            key.push_ids(&s.arena[start + 1..count_at], id_bits);
+            key.push(s.arena[count_at], 8);
+            key.push_ids(&s.arena[count_at + 1..], id_bits);
+            s.recs.push(key.finish(&s.arena, start));
         }
-        reps.sort_unstable();
-        for rep in &reps {
-            words.extend_from_slice(rep);
+        sort_recs(&mut s.recs, &s.arena);
+        for r in &s.recs {
+            s.leaf
+                .extend_from_slice(&s.arena[r.start as usize..(r.start + r.len) as usize]);
         }
         // Weight oracle: finite entries as sorted, deduplicated
-        // [len, canonical ids…, weight] tuples. Shared classifiers
+        // [len, canonical ids…, weight] records. Shared classifiers
         // (reachable from several queries) collapse to one entry.
-        let mut entries: Vec<Vec<u64>> = Vec::with_capacity(self.weights.len());
+        s.arena.clear();
+        s.recs.clear();
         for e in &self.weights {
-            let members = &self.q_members[e.query as usize];
-            let mut ids: Vec<u64> = members
-                .iter()
-                .enumerate()
-                .filter(|&(bit, _)| (e.mask >> bit) & 1 == 1)
-                .map(|(_, &p)| u64::from(colors[p as usize]))
-                .collect();
-            ids.sort_unstable();
-            let mut entry = Vec::with_capacity(ids.len() + 2);
-            entry.push(ids.len() as u64);
-            entry.extend_from_slice(&ids);
-            entry.push(e.weight_raw);
-            entries.push(entry);
+            let props = &self.entry_props[e.start as usize..(e.start + e.len) as usize];
+            let start = s.arena.len();
+            s.arena.push(props.len() as u64);
+            s.arena
+                .extend(props.iter().map(|&p| u64::from(colors[p as usize])));
+            s.arena[start + 1..].sort_unstable();
+            s.arena.push(e.weight_raw);
+            let mut key = KeyPacker::new();
+            key.push(s.arena[start], 8);
+            key.push_ids(&s.arena[start + 1..start + 1 + props.len()], id_bits);
+            key.push(e.weight_raw, 64);
+            s.recs.push(key.finish(&s.arena, start));
         }
-        entries.sort_unstable();
-        entries.dedup();
-        words.push(entries.len() as u64);
-        for entry in &entries {
-            words.extend_from_slice(entry);
+        sort_recs(&mut s.recs, &s.arena);
+        let arena = &s.arena;
+        let words = |r: &Rec| &arena[r.start as usize..(r.start + r.len) as usize];
+        s.recs
+            .dedup_by(|a, b| a.key == b.key && (a.complete || words(a) == words(b)));
+        s.leaf.push(s.recs.len() as u64);
+        for r in &s.recs {
+            s.leaf.extend_from_slice(words(r));
         }
-        self.charge(words.len())?;
-        Some(words)
+        let len = s.leaf.len();
+        self.charge(len)
     }
 
-    /// Individualization-refinement search for the minimal leaf encoding.
-    fn search(&mut self, colors: Vec<u32>, best: &mut Option<(Vec<u64>, Vec<u32>)>) -> Option<()> {
-        let (colors, distinct) = self.refine(&colors)?;
-        if distinct == self.n() {
-            let enc = self.encode(&colors)?;
-            let better = match best {
-                Some((b, _)) => enc < *b,
-                None => true,
-            };
-            if better {
-                *best = Some((enc, colors));
-            }
-            return Some(());
+    /// A leaf at `depth`: encode it, keep it if it beats the best, and
+    /// when it repeats the first leaf's encoding derive the automorphism
+    /// γ (first labeling → this one) and prune with it.
+    fn leaf(&mut self, depth: usize) -> Option<Step> {
+        self.encode(depth)?;
+        let n = self.n;
+        let colors = &self.levels[depth * n..(depth + 1) * n];
+        if self.first.words.is_empty() {
+            self.first.words.extend_from_slice(&self.s.leaf);
+            self.first.colors.extend_from_slice(colors);
+            self.first_path.extend_from_slice(&self.path);
+            return Some(Step::Next);
         }
+        if self.s.leaf < self.best.as_ref().unwrap_or(&self.first).words {
+            let best = self.best.get_or_insert_with(Leaf::default);
+            best.words.clone_from(&self.s.leaf);
+            best.colors.clear();
+            best.colors.extend_from_slice(colors);
+            return Some(Step::Next);
+        }
+        if self.s.leaf != self.first.words {
+            return Some(Step::Next);
+        }
+        // Equal encodings: γ = λ⁻¹ ∘ λ_first maps the instance onto
+        // itself. The search also depends on the seed, which the
+        // encoding does not carry, so γ must preserve it too.
+        let inverse = &mut self.s.inverse;
+        inverse.clear();
+        inverse.resize(n, 0);
+        for (q, &c) in colors.iter().enumerate() {
+            inverse[c as usize] = u32_of(q);
+        }
+        let inverse = &self.s.inverse;
+        let first_colors = &self.first.colors;
+        let g = |p: u32| inverse[first_colors[p as usize] as usize];
+        if (0..u32_of(n)).any(|p| self.seed[g(p) as usize] != self.seed[p as usize]) {
+            return Some(Step::Next);
+        }
+        // γ maps the first path's node at depth d + 1 onto this path's
+        // only if it fixes the shared prefix pointwise and maps the first
+        // path's next property to this path's; then everything left
+        // below this path's node at d + 1 is an image of the first
+        // path's subtree there, explored already.
+        let first = &self.first_path;
+        let d = first
+            .iter()
+            .zip(&self.path)
+            .take_while(|(a, b)| a == b)
+            .count();
+        let fixes_prefix = first[..d].iter().all(|&v| g(v) == v);
+        match (first.get(d), self.path.get(d)) {
+            (Some(&v), Some(&w)) if fixes_prefix && g(v) == w => Some(Step::Backjump(d)),
+            _ => Some(Step::Next),
+        }
+    }
+
+    /// Individualization-refinement search below the node at `depth`,
+    /// whose dense coloring with `distinct` classes sits in `levels`.
+    fn search(&mut self, depth: usize, distinct: usize) -> Option<Step> {
+        let n = self.n;
+        let distinct = self.refine(depth, distinct)?;
+        if distinct == n {
+            return self.leaf(depth);
+        }
+        let base = depth * n;
         // Target cell: the smallest color value with ≥ 2 members — an
         // isomorphism-invariant choice, since colors are ranked by
         // invariant signatures.
-        let mut count = vec![0u32; distinct];
-        for &c in &colors {
-            count[c as usize] += 1;
+        self.s.count.clear();
+        self.s.count.resize(distinct, 0);
+        for &c in &self.levels[base..base + n] {
+            self.s.count[c as usize] += 1;
         }
-        let target = match count.iter().position(|&c| c >= 2) {
+        let target = match self.s.count.iter().position(|&c| c >= 2) {
             Some(t) => u32_of(t),
-            None => return Some(()), // unreachable: distinct < n implies a class ≥ 2
+            None => return Some(Step::Next), // unreachable: distinct < n implies a class ≥ 2
         };
-        for p in 0..self.n() {
-            if colors[p] != target {
+        if self.levels.len() < base + 2 * n {
+            self.levels.resize(base + 2 * n, 0);
+        }
+        for p in 0..n {
+            if self.levels[base + p] != target {
                 continue;
             }
-            let branched: Vec<u32> = colors
-                .iter()
-                .enumerate()
-                .map(|(i, &c)| c * 2 + u32::from(i != p))
-                .collect();
-            self.search(branched, best)?;
+            // Individualize p: it keeps the target's rank, the rest of
+            // its cell moves one up, and so does every later class.
+            let (parent, child) = self.levels[base..base + 2 * n].split_at_mut(n);
+            for (i, (&c, out)) in parent.iter().zip(child.iter_mut()).enumerate() {
+                *out = match c.cmp(&target) {
+                    std::cmp::Ordering::Less => c,
+                    std::cmp::Ordering::Equal if i == p => c,
+                    _ => c + 1,
+                };
+            }
+            self.path.truncate(depth);
+            self.path.push(u32_of(p));
+            let step = self.search(depth + 1, distinct + 1)?;
+            if let Step::Backjump(d) = step {
+                if d < depth {
+                    return Some(step);
+                }
+            }
         }
-        Some(())
+        Some(Step::Next)
     }
 }
 
@@ -481,15 +748,28 @@ pub fn canonicalize(
     mut weight_of: impl FnMut(usize, u32) -> Weight,
 ) -> Option<Canonical> {
     let kp = kp.max(1);
+    let m = queries.len();
+    // Query-local masks are u32; longer queries (beyond MAX_QUERY_LEN
+    // anyway) are simply not canonicalized. Each query's masks are
+    // charged up front.
+    let mut budget_left = budget;
+    for (q, _) in queries {
+        let len = q.len();
+        if len >= 32 || budget_left < 1usize << len {
+            return None;
+        }
+        budget_left -= 1usize << len;
+    }
+
     // Local prop table: sorted distinct PropIds.
-    let mut props: Vec<PropId> = queries
-        .iter()
-        .flat_map(|(q, _)| q.ids().iter().copied())
-        .collect();
+    let total_len: usize = queries.iter().map(|(q, _)| q.len()).sum();
+    let mut props: Vec<PropId> = Vec::with_capacity(total_len);
+    for (q, _) in queries {
+        props.extend_from_slice(q.ids());
+    }
     props.sort_unstable();
     props.dedup();
     let n = props.len();
-    let m = queries.len();
 
     let local_of = |p: PropId| -> u32 {
         match props.binary_search(&p) {
@@ -499,52 +779,35 @@ pub fn canonicalize(
         }
     };
 
-    let mut q_members: Vec<Vec<u32>> = Vec::with_capacity(m);
-    let mut q_covered: Vec<u32> = Vec::with_capacity(m);
+    let mut q_off = Vec::with_capacity(m + 1);
+    let mut members = Vec::with_capacity(total_len);
+    let mut q_covered = Vec::with_capacity(m);
+    q_off.push(0);
     for &(q, covered) in queries {
-        let members: Vec<u32> = q.ids().iter().map(|&p| local_of(p)).collect();
-        q_members.push(members);
+        members.extend(q.ids().iter().map(|&p| local_of(p)));
+        q_off.push(members.len());
+        // Bits at or past the query's length name no member.
+        let covered = covered & ((1u32 << q.len()) - 1);
         q_covered.push(covered);
     }
 
     // CSR incidence.
-    let mut deg = vec![0usize; n];
-    for members in &q_members {
-        for &p in members {
-            deg[p as usize] += 1;
-        }
-    }
     let mut occ_off = vec![0usize; n + 1];
-    for i in 0..n {
-        occ_off[i + 1] = occ_off[i] + deg[i];
-    }
-    let mut occ = vec![(0u32, 0u32); occ_off[n]];
-    let mut cursor = occ_off.clone();
-    for (qi, members) in q_members.iter().enumerate() {
-        for (bit, &p) in members.iter().enumerate() {
-            occ[cursor[p as usize]] = (u32_of(qi), u32_of(bit));
-            cursor[p as usize] += 1;
-        }
-    }
+    let mut occ = vec![(0u32, 0u32); total_len];
+    csr_fill(&mut occ_off, &mut occ, || {
+        (0..m).flat_map(|qi| {
+            let query = &members[q_off[qi]..q_off[qi + 1]];
+            (0..query.len()).map(move |bit| (query[bit], (u32_of(qi), u32_of(bit))))
+        })
+    });
 
-    // Finite weight-oracle entries, plus each prop's `(prop, entry size,
-    // weight)` triples for the initial coloring.
-    let mut budget_left = budget;
+    // Finite weight-oracle entries.
     let mut weights = Vec::new();
-    let mut prop_entries: Vec<(u32, u64, u64)> = Vec::new();
-    for (qi, members) in q_members.iter().enumerate() {
-        let len = members.len();
-        if len >= 32 {
-            // Query-local masks are u32; longer queries (beyond
-            // MAX_QUERY_LEN anyway) are simply not canonicalized.
-            return None;
-        }
-        let masks: u32 = 1u32 << len;
-        if budget_left < masks as usize {
-            return None;
-        }
-        budget_left -= masks as usize;
-        for mask in 1..masks {
+    let mut entry_props = Vec::new();
+    let mut singleton = vec![Weight::INFINITE.raw(); n];
+    for qi in 0..m {
+        let query = &members[q_off[qi]..q_off[qi + 1]];
+        for mask in 1..1u32 << query.len() {
             if (mask.count_ones() as usize) > kp {
                 continue;
             }
@@ -552,77 +815,108 @@ pub fn canonicalize(
             if !w.is_finite() {
                 continue;
             }
-            let size = u64::from(mask.count_ones());
-            for (bit, &p) in members.iter().enumerate() {
-                if (mask >> bit) & 1 == 1 {
-                    prop_entries.push((p, size, w.raw()));
-                }
+            let start = entry_props.len();
+            entry_props.extend(bits(mask).map(|bit| query[bit]));
+            let mut repeat = false;
+            if let [p] = entry_props[start..] {
+                repeat = singleton[p as usize] == w.raw();
+                singleton[p as usize] = w.raw();
             }
             weights.push(WeightEntry {
-                query: u32_of(qi),
-                mask,
+                start: u32_of(start),
+                len: mask.count_ones(),
                 weight_raw: w.raw(),
+                repeat,
             });
         }
     }
 
-    let mut ctx = CanonCtx {
-        props,
-        q_members,
-        q_covered: &q_covered,
-        occ_off,
-        occ,
-        weights,
-        kp,
-        budget: budget_left,
-    };
+    // Each prop's `(entry size, weight)` pairs over the finite entries
+    // holding it, bucketed by prop with a counting pass.
+    let mut entry_off = vec![0usize; n + 1];
+    let mut prop_entries = vec![(0u64, 0u64); entry_props.len()];
+    csr_fill(&mut entry_off, &mut prop_entries, || {
+        weights.iter().flat_map(|e| {
+            let pair = (u64::from(e.len), e.weight_raw);
+            entry_props[e.start as usize..(e.start + e.len) as usize]
+                .iter()
+                .map(move |&p| (p, pair))
+        })
+    });
 
     // Initial invariant coloring: sizes and weights of the finite
     // entries holding the prop, degree, shapes of the containing queries.
-    prop_entries.sort_unstable();
-    let mut run = 0usize;
-    let mut init_keys = Vec::with_capacity(n);
-    let mut shape: Vec<u64> = Vec::new();
+    let mut s = Scratch::default();
+    s.psig.reserve(n);
     for p in 0..n {
-        let start = run;
-        while prop_entries.get(run).is_some_and(|e| e.0 as usize == p) {
-            run += 1;
+        let bucket = &mut prop_entries[entry_off[p]..entry_off[p + 1]];
+        bucket.sort_unstable();
+        let occurrences = &occ[occ_off[p]..occ_off[p + 1]];
+        s.words.clear();
+        for &(qi, bit) in occurrences {
+            let qi = qi as usize;
+            let covered = u64::from((q_covered[qi] >> bit) & 1);
+            let len = (q_off[qi + 1] - q_off[qi]) as u64;
+            s.words.push((len << 1) | covered);
         }
-        shape.clear();
-        for &(qi, bit) in &ctx.occ[ctx.occ_off[p]..ctx.occ_off[p + 1]] {
-            let covered = u64::from((q_covered[qi as usize] >> bit) & 1);
-            let len = ctx.q_members[qi as usize].len() as u64;
-            shape.push((len << 1) | covered);
-        }
-        shape.sort_unstable();
+        s.words.sort_unstable();
         let mut h = StableHasher::new();
-        h.write_u64((run - start) as u64);
-        for &(_, size, weight_raw) in &prop_entries[start..run] {
+        h.write_u64(bucket.len() as u64);
+        for &(size, weight_raw) in bucket.iter() {
             h.write_u64(size);
             h.write_u64(weight_raw);
         }
-        h.write_u64(deg[p] as u64);
-        h.write_words(&shape);
-        init_keys.push(h.finish128());
+        h.write_u64(occurrences.len() as u64);
+        h.write_words(&s.words);
+        s.psig.push(h.finish128());
     }
-    let (init_colors, _) = ctx.rerank(&init_keys);
+    let mut seed = Vec::with_capacity(n);
+    let distinct = rerank(&s.psig, &mut s.order, &mut seed);
+    drop(prop_entries);
 
-    let mut best: Option<(Vec<u64>, Vec<u32>)> = None;
-    ctx.search(init_colors, &mut best)?;
-    let (encoding, colors) = best?;
+    weights.retain(|e| !e.repeat);
+    // Before deduplication every leaf's encoding has the same length, so
+    // its buffers are sized once for the whole search.
+    let covered: usize = q_covered.iter().map(|c| c.count_ones() as usize).sum();
+    let rep_words = 2 * m + total_len + covered;
+    let entry_words: usize = weights.iter().map(|e| e.len as usize + 2).sum();
+    s.leaf.reserve(4 + rep_words + entry_words);
+    s.arena.reserve(rep_words.max(entry_words));
+    s.recs.reserve(m.max(weights.len()));
+    let mut ctx = CanonCtx {
+        n,
+        kp,
+        id_bits: if n <= 1 << 16 { 16 } else { 32 },
+        q_off,
+        members,
+        q_covered,
+        occ_off,
+        occ,
+        weights,
+        entry_props,
+        levels: seed.clone(),
+        seed,
+        budget: budget_left,
+        path: Vec::new(),
+        first: Leaf::default(),
+        first_path: Vec::new(),
+        best: None,
+        s,
+    };
+    ctx.search(0, distinct)?;
+    let best = ctx.best.unwrap_or(ctx.first);
 
     let mut from_canonical = vec![PropId(0); n];
     let mut to_canonical = Vec::with_capacity(n);
-    for (p, &c) in colors.iter().enumerate() {
-        from_canonical[c as usize] = ctx.props[p];
-        to_canonical.push((ctx.props[p], c));
+    for (p, &c) in best.colors.iter().enumerate() {
+        from_canonical[c as usize] = props[p];
+        to_canonical.push((props[p], c));
     }
-    // ctx.props is sorted, so to_canonical is sorted by original id.
+    // props is sorted, so to_canonical is sorted by original id.
     Some(Canonical {
-        fingerprint: stable_hash128(&encoding),
+        fingerprint: stable_hash128(&best.words),
         from_canonical,
         to_canonical,
-        encoding_words: encoding.len(),
     })
 }
 

@@ -9,7 +9,9 @@
 //!   `π`, solving `π(I)` against a cache warmed by `I` answers every
 //!   component from the cache (the canonical fingerprints agree) and
 //!   yields the cost of `solve(I)` with a remap-consistent, verifying
-//!   solution.
+//!   solution;
+//! * **symmetric components** — 20 disjoint uniform-cost queries of
+//!   length 7 each canonicalize within the budget: one miss, 19 hits.
 
 use mc3_core::rng::prelude::*;
 use mc3_core::{Instance, PropId, PropSet, Weights};
@@ -278,4 +280,29 @@ fn prebuilt_inventory_bypasses_the_cache() {
         (0, 0, 0),
         "prebuilt solves must not touch the shared cache"
     );
+}
+
+#[test]
+fn symmetric_components_are_fingerprinted_and_shared() {
+    // 20 disjoint uniform-cost queries of length 7: every property of a
+    // query is interchangeable, so the canonical search tree has 7!
+    // leaves unless automorphisms prune it. Each component must
+    // canonicalize within the default budget: the first one misses, the
+    // other 19 are answered from its entry.
+    let queries: Vec<Vec<u32>> = (0..20u32).map(|c| (7 * c..7 * c + 7).collect()).collect();
+    let instance = Instance::new(queries, Weights::uniform(1u64)).expect("valid instance");
+    let served = |cache: Option<&Arc<SolveCache>>| {
+        let s = Mc3Solver::new().algorithm(Algorithm::General);
+        match cache {
+            Some(c) => s.cache(Arc::clone(c)),
+            None => s,
+        }
+    };
+    let cold = served(None).solve(&instance).expect("uncached solve");
+    let cache = Arc::new(SolveCache::with_capacity_mb(8));
+    let cached = served(Some(&cache)).solve(&instance).expect("cached solve");
+    cached.verify(&instance).expect("cached cover");
+    assert_eq!(cold.cost(), cached.cost());
+    let stats = cache.stats();
+    assert_eq!((stats.misses, stats.hits), (1, 19), "{stats:?}");
 }

@@ -12,7 +12,9 @@
 //! * bumping one finite weight, or flipping one covered bit, changes the
 //!   fingerprint (either changes an invariant — the weight multiset or
 //!   the covered count — so the mutant is never isomorphic);
-//! * no private-like residual component exhausts `canon::DEFAULT_BUDGET`.
+//! * no private-like residual component exhausts `canon::DEFAULT_BUDGET`,
+//!   and neither does a single uniform-cost query of length 2–10, whose
+//!   properties are all interchangeable.
 //!
 //! Seeded-loop style (the workspace builds offline, without `proptest`).
 
@@ -264,5 +266,35 @@ fn synthetic_and_duplicate_heavy_components_are_relabelling_invariant() {
     ] {
         let t = check_corpus(kind, queries, seed);
         assert!(t.components > 0, "{}: {t:?}", kind.name());
+    }
+}
+
+#[test]
+fn uniform_single_queries_canonicalize_within_budget() {
+    // One query of length 2–10 with every classifier at cost 1: all its
+    // properties are interchangeable, the most symmetric component there
+    // is. Automorphism pruning must keep the search within the default
+    // budget, and a relabelled copy must fingerprint the same.
+    let mut rng = StdRng::seed_from_u64(0x5E_77);
+    for len in 2..=10u32 {
+        let query = PropSet::from_ids((0..len).map(|i| PropId(3 * i + 1)));
+        let masks = 1usize << len;
+        let comp = Component {
+            queries: vec![(query, 0)],
+            class: vec![(0..masks).map(|mask| (mask > 0).then_some(mask)).collect()],
+            weights: vec![Weight::new(1); masks],
+            kp: len as usize,
+        };
+        let mut ids: Vec<u32> = (0..len).map(|i| 5 * i + 2).collect();
+        ids.shuffle(&mut rng);
+        let perm = |p: PropId| PropId(ids[((p.0 - 1) / 3) as usize]);
+        let base = comp
+            .canonicalize()
+            .unwrap_or_else(|| panic!("length {len}: exhausted the budget"));
+        let copy = comp
+            .relabel(&perm, &[0])
+            .canonicalize()
+            .unwrap_or_else(|| panic!("length {len}: relabelled copy exhausted the budget"));
+        assert_eq!(base.fingerprint(), copy.fingerprint(), "length {len}");
     }
 }
