@@ -595,9 +595,7 @@ fn run_pinned_workload() -> Result<TelemetryReport, String> {
         .generate();
 
     let session = mc3_telemetry::Session::begin();
-    let solver = Mc3Solver::new()
-        .algorithm(Algorithm::ShortFirst)
-        .parallel(false);
+    let solver = Mc3Solver::new().algorithm(Algorithm::ShortFirst);
     let solved = solver
         .solve_report(&handcrafted)
         .and_then(|_| solver.solve_report(&synthetic.instance));

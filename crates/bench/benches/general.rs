@@ -69,24 +69,9 @@ fn bench_short_first_and_local_greedy() {
     }
 }
 
-fn bench_parallel_components() {
-    // the private dataset has three property-disjoint categories
-    let ds = PrivateConfig::with_queries(10_000).generate();
-    let group = Group::new("component_parallelism").samples(5);
-    for (name, parallel) in [("sequential", false), ("parallel", true)] {
-        let solver = Mc3Solver::new()
-            .algorithm(Algorithm::General)
-            .parallel(parallel);
-        group.bench(name, || {
-            black_box(solver.solve(&ds.instance).expect("solvable").cost())
-        });
-    }
-}
-
 fn main() {
     bench_general();
     bench_anti_cycling_q80_seed3();
     bench_strategies();
     bench_short_first_and_local_greedy();
-    bench_parallel_components();
 }

@@ -34,7 +34,7 @@ pub enum Command {
         dataset: String,
     },
     /// `mc3 solve FILE [--algorithm A] [--no-preprocess] [--no-refine]
-    /// [--parallel] [--max-classifier-len K] [--out FILE]`
+    /// [--max-classifier-len K] [--out FILE]`
     Solve {
         /// Dataset JSON path.
         dataset: String,
@@ -44,8 +44,6 @@ pub enum Command {
         no_preprocess: bool,
         /// Disable reverse-delete refinement.
         no_refine: bool,
-        /// Solve components in parallel.
-        parallel: bool,
         /// Bounded classifier length `k'`.
         max_classifier_len: Option<usize>,
         /// Optional solution output path (`-` = stdout).
@@ -57,7 +55,7 @@ pub enum Command {
         chrome: Option<String>,
     },
     /// `mc3 profile [DATASET.json] [--kind K] [--queries N] [--seed S]
-    /// [--algorithm A] [--parallel] [--json FILE] [--top N] [--mem]`
+    /// [--algorithm A] [--json FILE] [--top N] [--mem]`
     Profile {
         /// Dataset JSON path; omitted = generate a workload.
         dataset: Option<String>,
@@ -69,8 +67,6 @@ pub enum Command {
         seed: u64,
         /// Algorithm to profile.
         algorithm: Algorithm,
-        /// Solve components in parallel.
-        parallel: bool,
         /// Also write the `TelemetryReport` JSON here (and re-parse it as
         /// a schema self-check).
         json: Option<String>,
@@ -184,11 +180,11 @@ USAGE:
   mc3 stats <DATASET.json>
   mc3 solve <DATASET.json> [--algorithm <auto|k2|general|short-first|exact|
                              property-oriented|query-oriented|mixed|local-greedy>]
-            [--no-preprocess] [--no-refine] [--parallel]
+            [--no-preprocess] [--no-refine]
             [--max-classifier-len <K>] [--out <FILE|->] [--trace[=<FILE>]]
             [--chrome <FILE>]
   mc3 profile [DATASET.json] [--kind <K>] [--queries <N>] [--seed <S>]
-              [--algorithm <A>] [--parallel] [--json <FILE>] [--top <N>]
+              [--algorithm <A>] [--json <FILE>] [--top <N>]
               [--chrome <FILE>] [--prom <FILE>] [--mem]
   mc3 bench-gate --baseline <FILE> [--candidate <FILE>] [--update]
                  [--wall-tol <X>] [--counter-tol <X>] [--no-mem] [--kind <K>]
@@ -285,7 +281,6 @@ impl Cli {
                 let mut algorithm = Algorithm::Auto;
                 let mut no_preprocess = false;
                 let mut no_refine = false;
-                let mut parallel = false;
                 let mut max_classifier_len = None;
                 let mut out = None;
                 let mut trace = None;
@@ -297,7 +292,6 @@ impl Cli {
                         }
                         "--no-preprocess" => no_preprocess = true,
                         "--no-refine" => no_refine = true,
-                        "--parallel" => parallel = true,
                         "--max-classifier-len" => {
                             max_classifier_len = Some(s.parsed("--max-classifier-len")?)
                         }
@@ -315,7 +309,6 @@ impl Cli {
                     algorithm,
                     no_preprocess,
                     no_refine,
-                    parallel,
                     max_classifier_len,
                     out,
                     trace,
@@ -328,7 +321,6 @@ impl Cli {
                 let mut queries = 200usize;
                 let mut seed = 7u64;
                 let mut algorithm = Algorithm::ShortFirst;
-                let mut parallel = false;
                 let mut json = None;
                 let mut chrome = None;
                 let mut prom = None;
@@ -342,7 +334,6 @@ impl Cli {
                         "--algorithm" => {
                             algorithm = Algorithm::parse_name(&s.value_of("--algorithm")?)?
                         }
-                        "--parallel" => parallel = true,
                         "--json" => json = Some(s.value_of("--json")?),
                         "--chrome" => chrome = Some(s.value_of("--chrome")?),
                         "--prom" => prom = Some(s.value_of("--prom")?),
@@ -360,7 +351,6 @@ impl Cli {
                     queries,
                     seed,
                     algorithm,
-                    parallel,
                     json,
                     chrome,
                     prom,
@@ -576,7 +566,6 @@ mod tests {
             "--algorithm",
             "short-first",
             "--no-preprocess",
-            "--parallel",
             "--max-classifier-len",
             "2",
         ])
@@ -586,20 +575,19 @@ mod tests {
                 dataset,
                 algorithm,
                 no_preprocess,
-                parallel,
                 max_classifier_len,
                 ..
             } => {
                 assert_eq!(dataset, "d.json");
                 assert_eq!(algorithm, Algorithm::ShortFirst);
                 assert!(no_preprocess);
-                assert!(parallel);
                 assert_eq!(max_classifier_len, Some(2));
             }
             other => panic!("wrong command: {other:?}"),
         }
-        // Thread counts are not a solve flag: --parallel sizes itself.
+        // Components solve on the calling thread: no flag picks threads.
         assert!(Cli::parse(["solve", "d.json", "--threads", "3"]).is_err());
+        assert!(Cli::parse(["solve", "d.json", "--parallel"]).is_err());
     }
 
     #[test]
@@ -631,7 +619,6 @@ mod tests {
                 queries,
                 seed,
                 algorithm,
-                parallel,
                 json,
                 chrome,
                 prom,
@@ -643,7 +630,6 @@ mod tests {
                 assert_eq!(queries, 200);
                 assert_eq!(seed, 7);
                 assert_eq!(algorithm, Algorithm::ShortFirst);
-                assert!(!parallel);
                 assert_eq!(json, None);
                 assert_eq!(chrome, None);
                 assert_eq!(prom, None);
@@ -657,7 +643,6 @@ mod tests {
             "d.json",
             "--algorithm",
             "general",
-            "--parallel",
             "--json",
             "tel.json",
             "--top",
@@ -669,7 +654,6 @@ mod tests {
             Command::Profile {
                 dataset,
                 algorithm,
-                parallel,
                 json,
                 top,
                 mem,
@@ -677,7 +661,6 @@ mod tests {
             } => {
                 assert_eq!(dataset.as_deref(), Some("d.json"));
                 assert_eq!(algorithm, Algorithm::General);
-                assert!(parallel);
                 assert_eq!(json.as_deref(), Some("tel.json"));
                 assert_eq!(top, 5);
                 assert!(mem);
@@ -685,6 +668,7 @@ mod tests {
             other => panic!("wrong command: {other:?}"),
         }
         assert!(Cli::parse(["profile", "--frob"]).is_err());
+        assert!(Cli::parse(["profile", "--parallel"]).is_err());
         assert!(Cli::parse(["profile", "a.json", "b.json"]).is_err());
     }
 

@@ -26,7 +26,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             algorithm,
             no_preprocess,
             no_refine,
-            parallel,
             max_classifier_len,
             out,
             trace,
@@ -36,7 +35,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             *algorithm,
             *no_preprocess,
             *no_refine,
-            *parallel,
             *max_classifier_len,
             out.as_deref(),
             trace.as_ref(),
@@ -48,7 +46,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             queries,
             seed,
             algorithm,
-            parallel,
             json,
             chrome,
             prom,
@@ -60,7 +57,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             *queries,
             *seed,
             *algorithm,
-            *parallel,
             json.as_deref(),
             chrome.as_deref(),
             prom.as_deref(),
@@ -223,14 +219,13 @@ fn solve(
     algorithm: mc3_solver::Algorithm,
     no_preprocess: bool,
     no_refine: bool,
-    parallel: bool,
     max_classifier_len: Option<usize>,
     out: Option<&str>,
     trace: Option<&Option<String>>,
     chrome: Option<&str>,
 ) -> Result<String, String> {
     let ds = load_dataset(dataset)?;
-    let mut solver = Mc3Solver::new().algorithm(algorithm).parallel(parallel);
+    let mut solver = Mc3Solver::new().algorithm(algorithm);
     if no_preprocess {
         solver = solver.without_preprocessing();
     }
@@ -304,7 +299,6 @@ fn profile(
     queries: usize,
     seed: u64,
     algorithm: mc3_solver::Algorithm,
-    parallel: bool,
     json: Option<&str>,
     chrome: Option<&str>,
     prom: Option<&str>,
@@ -318,7 +312,6 @@ fn profile(
     let session = mc3_telemetry::Session::begin();
     let report = Mc3Solver::new()
         .algorithm(algorithm)
-        .parallel(parallel)
         .solve_report(&ds.instance)
         .map_err(|e| format!("solve failed: {e}"))?;
     let tel = session.finish();

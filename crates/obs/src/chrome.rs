@@ -13,10 +13,7 @@
 //! left-to-right starting at the parent's own start. For well-nested
 //! trees (children of one instance never outlast their parent, so summed
 //! child wall ≤ summed parent wall), this preserves strict parent/child
-//! containment — the property tests pin that. A parallel solve's tree is
-//! not well-nested in that sense: the children of `solve_core` ran
-//! concurrently on other threads, so their summed wall can exceed the
-//! parent's and the packed children run past its end.
+//! containment — the property tests pin that.
 //!
 //! The memory axis rides along twice: every `"X"` event carries its
 //! span's allocation tally in `args` (`mem.allocs`, `mem.alloc_bytes`,

@@ -24,8 +24,7 @@
 //! # Concurrency and accounting
 //!
 //! The cache is lock-striped into 16 shards selected by key bits, so
-//! concurrent solves (server requests, a parallel solve's threads)
-//! rarely contend. Each
+//! concurrent solves (the server's requests) rarely contend. Each
 //! shard is a [`ByteLru`] with a sixteenth of the capacity as its byte
 //! budget; entry sizes are estimated from their set payloads. All
 //! statistics live under the shard locks — no atomics — and are summed

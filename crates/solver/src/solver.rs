@@ -86,12 +86,6 @@ pub struct SolverConfig {
     pub wsc_strategy: WscStrategy,
     /// Size thresholds for the simplex-based LP rounding path.
     pub lp_limits: LpLimits,
-    /// Solve the property-connected components (Observation 3.2:
-    /// sub-instances are independent) on `min(cores, components)` scoped
-    /// threads instead of inline on the calling thread. Both modes run
-    /// the same component loop; without a cache they produce the same
-    /// solution and counters.
-    pub parallel: bool,
     /// Consider only classifiers of length ≤ `k'` (§5.3, bounded
     /// classifiers); `None` = the full universe.
     pub max_classifier_len: Option<usize>,
@@ -121,7 +115,6 @@ impl Default for SolverConfig {
             preprocess: PreprocessOptions::default(),
             wsc_strategy: WscStrategy::Combined,
             lp_limits: LpLimits::default(),
-            parallel: false,
             max_classifier_len: None,
             refine_wsc: true,
             prebuilt: Vec::new(),
@@ -240,13 +233,6 @@ impl Mc3Solver {
     /// Sets the WSC strategy used by Algorithm 3.
     pub fn wsc_strategy(mut self, strategy: WscStrategy) -> Self {
         self.config.wsc_strategy = strategy;
-        self
-    }
-
-    /// Runs the per-component solves on scoped threads
-    /// ([`SolverConfig::parallel`]).
-    pub fn parallel(mut self, on: bool) -> Self {
-        self.config.parallel = on;
         self
     }
 
@@ -418,8 +404,8 @@ impl Mc3Solver {
         };
 
         // The core dispatch. Reductions across components reuse one
-        // ReductionScratch per thread instead of reallocating both CSR
-        // directions per component.
+        // ReductionScratch instead of reallocating both CSR directions
+        // per component.
         let run_core = |comp: &[usize],
                         scratch: &mut crate::reduction::ReductionScratch|
          -> Result<Vec<ClassifierId>> {
@@ -439,86 +425,20 @@ impl Mc3Solver {
             }
         };
 
-        // One loop for both execution modes: workers take the next
-        // component from one cursor over the components sorted largest
-        // first (a stable sort, so ties keep index order). The expensive
-        // solves start first while small ones backfill, and the copies of
-        // a repeated shape share a size, so the first copy solves and
-        // fills the cache before the later ones consult it. Each
-        // component is fingerprinted, consulted and solved where it is
-        // taken, and writes its own result slot.
-        let mut order: Vec<usize> = (0..comps.len()).collect();
-        order.sort_by_key(|&i| std::cmp::Reverse(comps[i].len()));
-        let results: Vec<std::sync::Mutex<Option<Result<Vec<ClassifierId>>>>> =
-            comps.iter().map(|_| std::sync::Mutex::new(None)).collect();
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let work = || {
-            let mut scratch = crate::reduction::ReductionScratch::new();
-            loop {
-                // audit:allow(no-relaxed-atomics) reviewed: ticket counter — only atomicity matters; results cross threads through their mutexes and the scope's join
-                let ticket = next.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                let Some(&i) = order.get(ticket) else {
-                    break;
-                };
-                let comp: &[usize] = &comps[i];
-                let r = match &cache_ctx {
-                    Some(ctx) => ctx.solve_component(&ws, comp, || run_core(comp, &mut scratch)),
-                    None => run_core(comp, &mut scratch),
-                };
-                if let Ok(mut slot) = results[i].lock() {
-                    *slot = Some(r);
-                }
-            }
-        };
-        let threads = if self.config.parallel {
-            std::thread::available_parallelism()
-                .map_or(1, std::num::NonZeroUsize::get)
-                .min(comps.len())
-        } else {
-            1
-        };
-        if threads > 1 {
-            // The calling thread and `threads - 1` helpers share the
-            // cursor; a helper files its span roots under the caller's
-            // open spans. A helper that fails to spawn only leaves more
-            // components to the others.
-            let parent = mc3_telemetry::SpanParent::current();
-            std::thread::scope(|s| {
-                let helpers: Vec<_> = (1..threads)
-                    .filter_map(|_| {
-                        let spawned = std::thread::Builder::new().spawn_scoped(s, || {
-                            let _parent = parent.as_ref().map(mc3_telemetry::SpanParent::adopt);
-                            work();
-                        });
-                        if spawned.is_err() {
-                            mc3_obs::warn("solver", "solve thread spawn failed", &[]);
-                        }
-                        spawned.ok()
-                    })
-                    .collect();
-                work();
-                // Joined here rather than by the scope, so a helper's
-                // panic reaches the caller with its own payload.
-                for helper in helpers {
-                    if let Err(payload) = helper.join() {
-                        std::panic::resume_unwind(payload);
-                    }
-                }
-            });
-        } else {
-            work();
+        // The components (Observation 3.2) solve one after another in
+        // index order, each fingerprinted, consulted and solved in turn.
+        // The first error is the reported one; later components are then
+        // not solved.
+        let mut scratch = crate::reduction::ReductionScratch::new();
+        for comp in &comps {
+            let ids = match &cache_ctx {
+                Some(ctx) => ctx.solve_component(&ws, comp, || run_core(comp, &mut scratch)),
+                None => run_core(comp, &mut scratch),
+            }?;
+            picked.extend(ids);
         }
-        // Gathered in component order, so the reported error is the
-        // lowest-index component's in both modes.
-        for cell in results {
-            let r = cell
-                .into_inner()
-                .map_err(|_| {
-                    mc3_core::Mc3Error::Internal("component task poisoned its result".into())
-                })?
-                .ok_or_else(|| mc3_core::Mc3Error::Internal("component result missing".into()))?;
-            picked.extend(r?);
-        }
+        // Freed here, so its frees stay on the `solve_core` span.
+        drop(scratch);
 
         picked.extend(ws.selected_ids().iter().copied());
 
@@ -741,27 +661,6 @@ mod tests {
         sol.verify(&instance).unwrap();
         // XY (2) covers the short query; residual of the long one is z → Z (1)
         assert_eq!(sol.cost(), Weight::new(3));
-    }
-
-    #[test]
-    fn parallel_and_sequential_agree() {
-        use mc3_core::rng::prelude::*;
-        let mut rng = StdRng::seed_from_u64(555);
-        let mut queries = Vec::new();
-        // several disjoint components
-        for c in 0..6u32 {
-            let base = c * 10;
-            for _ in 0..4 {
-                let len = rng.gen_range(1..=3usize);
-                let props: Vec<u32> = (0..len).map(|_| base + rng.gen_range(0..5u32)).collect();
-                queries.push(props);
-            }
-        }
-        let instance = Instance::new(queries, Weights::seeded(1, 1, 20)).unwrap();
-        let seq = Mc3Solver::new().solve(&instance).unwrap();
-        let par = Mc3Solver::new().parallel(true).solve(&instance).unwrap();
-        assert_eq!(seq.cost(), par.cost());
-        assert_eq!(seq.classifiers(), par.classifiers());
     }
 
     #[test]

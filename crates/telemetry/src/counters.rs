@@ -2,12 +2,11 @@
 //!
 //! Counters are a *closed* enum: every countable solver internal is
 //! declared here, once, with its wire name. The cells behind them are
-//! global `AtomicU64`s, so increments from worker threads aggregate for
-//! free and a parallel solve reports exactly the same totals as a
-//! sequential solve of the same instance (the solvers themselves are
-//! deterministic per component). [`TelemetryReport`](crate::TelemetryReport)
-//! always emits *every* registered name — zeros included — which is what
-//! lets `TelemetryReport::from_json` double as a schema-drift guard.
+//! global `AtomicU64`s, so increments from concurrent threads (the
+//! server's requests) aggregate for free.
+//! [`TelemetryReport`](crate::TelemetryReport) always emits *every*
+//! registered name — zeros included — which is what lets
+//! `TelemetryReport::from_json` double as a schema-drift guard.
 //!
 //! Histograms use log2 buckets: bucket 0 holds the value `0`, bucket
 //! `i ≥ 1` holds values in `[2^(i-1), 2^i - 1]`, for [`HIST_BUCKETS`]

@@ -10,12 +10,11 @@
 //!
 //! * **Spans** ([`span`], [`timed_span`]) — hierarchical wall-time
 //!   regions kept on a thread-local stack; every closed root merges by
-//!   name into one process-wide aggregate, and a parallel solve's
-//!   threads file theirs under the submitting thread's open spans
-//!   ([`SpanParent`]).
+//!   name into one process-wide aggregate, so concurrent threads (the
+//!   server's requests) all file into one tree.
 //! * **Counters** ([`Counter`], [`count`], [`span_add`]) — a closed
-//!   registry of monotonic `AtomicU64`s, so parallel and sequential
-//!   solves of one instance report identical totals.
+//!   registry of monotonic `AtomicU64`s, summed across every thread
+//!   that records.
 //! * **Histograms** ([`Hist`], [`record`]) — log2-bucketed distributions
 //!   (component sizes, greedy pick coverage).
 //! * **Memory** (`mc3-memprof`, the `memprof` module) — a tracking
@@ -63,8 +62,7 @@ pub use counters::{
 pub use memprof::peak_rss_bytes;
 pub use report::{HistogramData, SpanData, SpanMem, TelemetryReport, REPORT_VERSION};
 pub use spans::{
-    current_span_path, open_span_depth, span, span_add, timed_span, AdoptedParent, SpanGuard,
-    SpanParent, TimedSpan,
+    current_span_path, open_span_depth, span, span_add, timed_span, SpanGuard, TimedSpan,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};

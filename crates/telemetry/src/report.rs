@@ -114,10 +114,7 @@ pub struct TelemetryReport {
     pub peak_rss_bytes: Option<u64>,
 }
 
-/// The sibling named `name`, appended empty when absent. An empty node
-/// (`count` 0) stands for a span that is still open on some thread while
-/// roots filed under it have already closed; its own instance fills it
-/// when it closes.
+/// The sibling named `name`, appended empty when absent.
 fn slot<'a>(siblings: &'a mut Vec<SpanData>, name: &str) -> Option<&'a mut SpanData> {
     match siblings.iter().position(|s| s.name == name) {
         Some(i) => siblings.get_mut(i),
@@ -137,30 +134,14 @@ fn slot<'a>(siblings: &'a mut Vec<SpanData>, name: &str) -> Option<&'a mut SpanD
     }
 }
 
-/// Merges one closed raw span into the node at `path` below `siblings`
-/// (the top level when `path` is empty): wall times, counts, counters
-/// and memory tallies sum, per-instance peaks take the max, and the
-/// steady-state `min_instance_allocs` takes the min. This is the one
+/// Merges one closed raw span into `siblings`: wall times, counts,
+/// counters and memory tallies sum, per-instance peaks take the max, and
+/// the steady-state `min_instance_allocs` takes the min. This is the one
 /// merge every closed root goes through. It borrows `raw`, so a caller
 /// holding a lock can free the raw tree after releasing it.
-pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, path: &[&str], raw: &RawSpan) {
-    let mut level = siblings;
-    for name in path {
-        let Some(node) = slot(level, name) else {
-            return;
-        };
-        level = &mut node.children;
-    }
-    let Some(slot) = slot(level, raw.name) else {
+pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, raw: &RawSpan) {
+    let Some(slot) = slot(siblings, raw.name) else {
         return;
-    };
-    // A node that roots from other threads filed under before it closed
-    // takes its own instance's child order, so it reads like the tree of
-    // an inline run.
-    let order: Vec<&'static str> = if slot.count == 0 && !slot.children.is_empty() {
-        raw.children.iter().map(|c| c.name).collect()
-    } else {
-        Vec::new()
     };
     slot.wall_ns = slot.wall_ns.saturating_add(raw.wall_ns);
     slot.count += 1;
@@ -179,15 +160,7 @@ pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, path: &[&str], raw: &RawS
     slot.mem.peak_live_bytes = slot.mem.peak_live_bytes.max(raw.mem.peak_live_bytes);
     slot.mem.min_instance_allocs = slot.mem.min_instance_allocs.min(raw.mem.allocs);
     for child in &raw.children {
-        merge_into(&mut slot.children, &[], child);
-    }
-    if !order.is_empty() {
-        slot.children.sort_by_key(|c| {
-            order
-                .iter()
-                .position(|n| *n == c.name)
-                .unwrap_or(order.len())
-        });
+        merge_into(&mut slot.children, child);
     }
 }
 
@@ -745,12 +718,10 @@ mod tests {
         let mut roots = Vec::new();
         merge_into(
             &mut roots,
-            &[],
             &raw("solve", 100, vec![raw("k2.solve", 40, vec![])]),
         );
         merge_into(
             &mut roots,
-            &[],
             &raw("solve", 50, vec![raw("k2.solve", 10, vec![])]),
         );
         assert_eq!(roots.len(), 1);
@@ -774,7 +745,6 @@ mod tests {
         let mut roots = Vec::new();
         merge_into(
             &mut roots,
-            &[],
             &raw("solve", 1_500_000, vec![raw("setup", 200_000, vec![])]),
         );
         TelemetryReport {
@@ -896,51 +866,6 @@ mod tests {
     }
 
     #[test]
-    fn roots_filed_under_an_open_path_nest_like_inline_children() {
-        // Two task roots close under `solve/solve_core` before either
-        // span does; then the submitter's own `solve` closes.
-        let mut filed = Vec::new();
-        for wall in [30, 10] {
-            merge_into(
-                &mut filed,
-                &["solve", "solve_core"],
-                &raw("k2.solve", wall, vec![]),
-            );
-        }
-        assert_eq!(
-            filed[0].count, 0,
-            "open parent is an empty node until it closes"
-        );
-        merge_into(
-            &mut filed,
-            &[],
-            &raw(
-                "solve",
-                100,
-                vec![raw("setup", 20, vec![]), raw("solve_core", 60, vec![])],
-            ),
-        );
-        let mut inline = Vec::new();
-        merge_into(
-            &mut inline,
-            &[],
-            &raw(
-                "solve",
-                100,
-                vec![
-                    raw("setup", 20, vec![]),
-                    raw(
-                        "solve_core",
-                        60,
-                        vec![raw("k2.solve", 30, vec![]), raw("k2.solve", 10, vec![])],
-                    ),
-                ],
-            ),
-        );
-        assert_eq!(filed, inline);
-    }
-
-    #[test]
     fn render_mem_shows_bytes_per_span_and_peaks() {
         let report = sample_report();
         let text = report.render_mem();
@@ -963,10 +888,9 @@ mod tests {
         let mut roots = Vec::new();
         merge_into(
             &mut roots,
-            &[],
             &raw("a", 100, vec![raw("a.big", 90_000, vec![])]),
         );
-        merge_into(&mut roots, &[], &raw("b", 3_000, vec![]));
+        merge_into(&mut roots, &raw("b", 3_000, vec![]));
         // Only top-level nodes are read: a real child's peak already
         // surfaces in its root's.
         assert_eq!(assemble(roots).peak_live_bytes, 1_500);

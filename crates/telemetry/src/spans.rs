@@ -10,14 +10,6 @@
 //! [`live_report`](crate::live_report) copies it while a long-lived
 //! session keeps recording (the server's `/metrics`).
 //!
-//! A root normally files at the top level. A thread that runs work for
-//! another thread (a parallel solve's thread) first adopts the submitter's
-//! open-span path with [`SpanParent::adopt`]; its roots then file under
-//! that path, so a parallel solve's tree has the same paths, instance
-//! counts and span counters as the inline solve. Wall time and memory
-//! stay per-thread: a parent's inclusive figures cover its own thread
-//! only and do not bound the sum of children filed from other threads.
-//!
 //! When no session is recording, [`span`] returns an inactive guard
 //! without touching the thread-local at all — the disabled path is one
 //! relaxed atomic load.
@@ -26,7 +18,7 @@ use crate::counters::Counter;
 use crate::memprof::{self, RawSpanMem, SpanMemState};
 use crate::report::{self, SpanData};
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 /// A closed span subtree as recorded on one thread, before aggregation.
@@ -55,9 +47,6 @@ struct OpenSpan {
 
 thread_local! {
     static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
-    /// The span path this thread's roots file under (set while a
-    /// parallel solve's thread runs; `None` files them at the top level).
-    static PARENT: RefCell<Option<SpanParent>> = const { RefCell::new(None) };
 }
 
 /// Every root closed while a session recorded, from all threads, merged.
@@ -69,58 +58,11 @@ pub(crate) fn aggregate() -> std::sync::MutexGuard<'static, Vec<SpanData>> {
     AGGREGATE.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Merges a closed per-thread root into the aggregate, under this
-/// thread's adopted parent path when it has one. The raw tree is freed
-/// after the lock is released, which keeps the section other threads
-/// wait on short.
+/// Merges a closed per-thread root into the aggregate. The raw tree is
+/// freed after the lock is released, which keeps the section other
+/// threads wait on short.
 fn file_root(node: RawSpan) {
-    PARENT.with(|p| {
-        let parent = p.borrow();
-        let path = parent.as_ref().map_or(&[][..], |p| &p.0[..]);
-        report::merge_into(&mut aggregate(), path, &node);
-    });
-}
-
-/// The open-span path of a thread that hands work to other threads.
-///
-/// Record it once on the submitting thread with [`SpanParent::current`]
-/// and have each worker [`adopt`](SpanParent::adopt) it for the length
-/// of a task: the roots the task closes then file under the submitter's
-/// spans, exactly where they would sit had the task run inline.
-#[derive(Debug, Clone)]
-pub struct SpanParent(Arc<[&'static str]>);
-
-impl SpanParent {
-    /// This thread's open-span names, outermost first and preceded by
-    /// its own adopted parent's path. `None` when no session records or
-    /// no span is open, so the disabled path allocates nothing.
-    pub fn current() -> Option<SpanParent> {
-        if !crate::is_enabled() {
-            return None;
-        }
-        let names = open_path();
-        (!names.is_empty()).then(|| SpanParent(names.into()))
-    }
-
-    /// Files this thread's closed roots under this path until the guard
-    /// drops; the previous parent (if any) is restored then.
-    pub fn adopt(&self) -> AdoptedParent {
-        let previous = PARENT.with(|p| p.replace(Some(self.clone())));
-        AdoptedParent { previous }
-    }
-}
-
-/// Guard returned by [`SpanParent::adopt`].
-#[must_use = "the parent path is dropped with this guard — bind it to a local"]
-pub struct AdoptedParent {
-    previous: Option<SpanParent>,
-}
-
-impl Drop for AdoptedParent {
-    fn drop(&mut self) {
-        let previous = self.previous.take();
-        PARENT.with(|p| *p.borrow_mut() = previous);
-    }
+    report::merge_into(&mut aggregate(), &node);
 }
 
 pub(crate) fn duration_ns(d: Duration) -> u64 {
@@ -257,27 +199,18 @@ pub fn open_span_depth() -> usize {
     STACK.with(|s| s.borrow().len())
 }
 
-/// The `/`-joined names of this thread's open spans, outermost first and
-/// preceded by its adopted parent path (`"solve/solve_core/k2.solve"`),
-/// or `None` when neither exists. Structured events attach this as their
-/// span context, so a log line can be matched against the trace without
-/// any id plumbing.
+/// The `/`-joined names of this thread's open spans, outermost first
+/// (`"solve/solve_core/k2.solve"`), or `None` when none is open.
+/// Structured events attach this as their span context, so a log line
+/// can be matched against the trace without any id plumbing.
 pub fn current_span_path() -> Option<String> {
-    let names = open_path();
-    (!names.is_empty()).then(|| names.join("/"))
-}
-
-/// This thread's adopted parent path followed by its open spans' names,
-/// outermost first.
-fn open_path() -> Vec<&'static str> {
-    let mut names = PARENT.with(|p| {
-        p.borrow()
-            .as_ref()
-            .map(|p| p.0.to_vec())
-            .unwrap_or_default()
-    });
-    STACK.with(|s| names.extend(s.borrow().iter().map(|o| o.name)));
-    names
+    STACK.with(|s| {
+        let stack = s.borrow();
+        (!stack.is_empty()).then(|| {
+            let names: Vec<&str> = stack.iter().map(|o| o.name).collect();
+            names.join("/")
+        })
+    })
 }
 
 /// Pre-grows this thread's span stack to at least `cap` slots (session
