@@ -150,7 +150,7 @@ pub enum Command {
         solve_threads: usize,
     },
     /// `mc3 loadgen [--addr HOST:PORT] [--duration SECS] [--concurrency N]
-    /// [--mix SPEC] [--slo p99=MS] [--batch N]`
+    /// [--mix SPEC] [--slo p99=MS]`
     Loadgen {
         /// Server address to drive.
         addr: String,
@@ -162,8 +162,6 @@ pub enum Command {
         mix: Option<String>,
         /// p99 latency SLO for `/solve`, in milliseconds.
         slo_p99_ms: Option<u64>,
-        /// Items per request: `N > 1` drives `POST /solve-batch`.
-        batch: usize,
     },
     /// `mc3 help`
     Help,
@@ -198,7 +196,6 @@ USAGE:
             [--solve-threads <N>]
   mc3 loadgen [--addr <HOST:PORT>] [--duration <SECS>] [--concurrency <N>]
               [--mix <kind:queries:seed[:algo][xW],...>] [--slo p99=<MS>]
-              [--batch <N>]
   mc3 help
 ";
 
@@ -483,7 +480,6 @@ impl Cli {
                 let mut concurrency = 4usize;
                 let mut mix = None;
                 let mut slo_p99_ms = None;
-                let mut batch = 1usize;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--addr" => addr = s.value_of("--addr")?,
@@ -494,7 +490,6 @@ impl Cli {
                         }
                         "--concurrency" => concurrency = s.parsed("--concurrency")?,
                         "--mix" => mix = Some(s.value_of("--mix")?),
-                        "--batch" => batch = s.parsed("--batch")?,
                         "--slo" => {
                             let v = s.value_of("--slo")?;
                             let ms = v
@@ -515,7 +510,6 @@ impl Cli {
                     concurrency,
                     mix,
                     slo_p99_ms,
-                    batch,
                 }
             }
             other => return Err(format!("unknown command '{other}'\n{USAGE}")),
@@ -880,8 +874,6 @@ mod tests {
             "synthetic:100:7",
             "--slo",
             "p99=500ms",
-            "--batch",
-            "8",
         ])
         .unwrap();
         match cli.command {
@@ -891,14 +883,12 @@ mod tests {
                 concurrency,
                 mix,
                 slo_p99_ms,
-                batch,
             } => {
                 assert_eq!(addr, "127.0.0.1:9999");
                 assert_eq!(duration_secs, 5);
                 assert_eq!(concurrency, 8);
                 assert_eq!(mix.as_deref(), Some("synthetic:100:7"));
                 assert_eq!(slo_p99_ms, Some(500));
-                assert_eq!(batch, 8);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -910,24 +900,28 @@ mod tests {
                 concurrency,
                 mix,
                 slo_p99_ms,
-                batch,
                 ..
             } => {
                 assert_eq!(duration_secs, 3);
                 assert_eq!(concurrency, 4);
                 assert_eq!(mix, None);
                 assert_eq!(slo_p99_ms, Some(250));
-                assert_eq!(batch, 1);
             }
             other => panic!("wrong command: {other:?}"),
         }
         assert!(Cli::parse(["loadgen", "--slo", "p50=10"]).is_err());
-        assert!(Cli::parse(["loadgen", "--batch", "nope"]).is_err());
         assert!(Cli::parse(["loadgen", "--concurrency", "0"]).is_err());
         assert!(Cli::parse(["serve", "--frob"]).is_err());
         // `--cache-mb 0` is the one way to turn caching off.
         assert!(Cli::parse(["serve", "--no-cache"]).is_err());
         assert!(Cli::parse(["bench-gate", "--baseline", "b.json", "--cache"]).is_err());
+    }
+
+    #[test]
+    fn loadgen_rejects_batch_as_an_unknown_flag() {
+        // Loadgen posts every solve to `/solve`: there is no batch mode.
+        let err = Cli::parse(["loadgen", "--batch", "8"]).expect_err("--batch is gone");
+        assert!(err.contains("unknown flag '--batch'"), "{err}");
     }
 
     #[test]

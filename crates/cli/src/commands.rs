@@ -120,7 +120,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             concurrency,
             mix,
             slo_p99_ms,
-            batch,
         } => {
             let mix = match mix {
                 Some(spec) => mc3_workload::RequestMix::parse(spec)?,
@@ -132,7 +131,6 @@ pub fn run(cli: &Cli) -> Result<String, String> {
                 concurrency: *concurrency,
                 mix,
                 slo_p99_ms: *slo_p99_ms,
-                batch: *batch,
             };
             mc3_server::run_loadgen(&cfg)
         }

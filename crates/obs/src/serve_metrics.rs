@@ -5,7 +5,7 @@
 //! counts by status, in-flight gauge, latency distribution. Those live
 //! here, deliberately **outside** the closed `Counter`/`Hist` registry:
 //! they are labelled families (route × status class), which the registry
-//! is not shaped for, and keeping them separate means the batch-mode
+//! is not shaped for, and keeping them separate means the offline
 //! report schema, the bench-gate baselines and the audit consistency
 //! checks are all untouched by serving concerns.
 //!
@@ -23,23 +23,21 @@ use std::sync::atomic::{AtomicU64, Ordering};
 pub enum Route {
     /// `POST /solve`.
     Solve,
-    /// `POST /solve-batch`.
-    SolveBatch,
     /// `GET /metrics`.
     Metrics,
     /// `GET /healthz`.
     Healthz,
     /// `GET /buildinfo`.
     Buildinfo,
-    /// Anything else (404s, bad methods).
+    /// Anything else: unknown paths, and requests refused before they
+    /// could be routed (malformed, or over the header or body bound).
     Other,
 }
 
 impl Route {
     /// Every route, in label order.
-    pub const ALL: [Route; 6] = [
+    pub const ALL: [Route; 5] = [
         Route::Solve,
-        Route::SolveBatch,
         Route::Metrics,
         Route::Healthz,
         Route::Buildinfo,
@@ -50,7 +48,6 @@ impl Route {
     pub fn as_str(self) -> &'static str {
         match self {
             Route::Solve => "solve",
-            Route::SolveBatch => "solve-batch",
             Route::Metrics => "metrics",
             Route::Healthz => "healthz",
             Route::Buildinfo => "buildinfo",
@@ -61,11 +58,10 @@ impl Route {
     fn idx(self) -> usize {
         match self {
             Route::Solve => 0,
-            Route::SolveBatch => 1,
-            Route::Metrics => 2,
-            Route::Healthz => 3,
-            Route::Buildinfo => 4,
-            Route::Other => 5,
+            Route::Metrics => 1,
+            Route::Healthz => 2,
+            Route::Buildinfo => 3,
+            Route::Other => 4,
         }
     }
 }

@@ -4,13 +4,47 @@
 //! + headers + `Content-Length` bodies, keep-alive by default, no
 //! chunked transfer, no TLS.
 
-use std::io::{BufRead, Write};
+use std::io::{BufRead, Read, Write};
 
-/// Upper bound on one header section, bytes. A client that sends more is
-/// told 431 by the caller; here it is an error.
+/// Upper bound on one header section (request line included), bytes.
 const MAX_HEADER_BYTES: usize = 16 * 1024;
 /// Upper bound on a request/response body we are willing to buffer.
 const MAX_BODY_BYTES: usize = 16 * 1024 * 1024;
+
+/// Why a request could not be read. A refusal's reason never quotes the
+/// client's bytes: it is sent back and logged, and a line may be 16 KiB.
+#[derive(Debug)]
+pub enum ReadError {
+    /// The stream failed, timed out or ended mid-message: there is no one
+    /// left to answer.
+    Io(std::io::Error),
+    /// The peer sent something the server refuses: the caller answers
+    /// `status` (400 malformed, 413 body too large, 431 header section
+    /// too large) and closes the connection.
+    Refused {
+        /// The HTTP status to answer with.
+        status: u16,
+        /// What was wrong, for the error body and the event log.
+        reason: String,
+    },
+}
+
+impl From<std::io::Error> for ReadError {
+    fn from(e: std::io::Error) -> ReadError {
+        ReadError::Io(e)
+    }
+}
+
+impl From<ReadError> for std::io::Error {
+    fn from(e: ReadError) -> std::io::Error {
+        match e {
+            ReadError::Io(e) => e,
+            ReadError::Refused { reason, .. } => {
+                std::io::Error::new(std::io::ErrorKind::InvalidData, reason)
+            }
+        }
+    }
+}
 
 /// A parsed HTTP/1.1 request (server side) — method, target, headers and
 /// a fully buffered body.
@@ -66,27 +100,42 @@ impl Request {
     }
 }
 
-fn invalid(msg: impl Into<String>) -> std::io::Error {
-    std::io::Error::new(std::io::ErrorKind::InvalidData, msg.into())
+fn refused(status: u16, reason: impl Into<String>) -> ReadError {
+    ReadError::Refused {
+        status,
+        reason: reason.into(),
+    }
 }
 
-/// Reads one line (without CRLF), enforcing the running header budget.
-fn read_line(r: &mut impl BufRead, budget: &mut usize) -> std::io::Result<String> {
-    let mut line = String::new();
-    let n = r.read_line(&mut line)?;
+fn unexpected_eof() -> ReadError {
+    ReadError::Io(std::io::Error::new(
+        std::io::ErrorKind::UnexpectedEof,
+        "connection closed mid-message",
+    ))
+}
+
+/// Reads one line (without CRLF) through the running header budget: at
+/// most `budget + 1` bytes are consumed, so a peer that never sends a
+/// newline cannot grow the line past the budget. `Ok(None)` at end of
+/// stream.
+fn read_line(r: &mut impl BufRead, budget: &mut usize) -> Result<Option<String>, ReadError> {
+    let mut line = Vec::new();
+    let n = r
+        .by_ref()
+        .take(*budget as u64 + 1)
+        .read_until(b'\n', &mut line)?;
     if n == 0 {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::UnexpectedEof,
-            "connection closed mid-message",
-        ));
+        return Ok(None);
     }
     *budget = budget
         .checked_sub(n)
-        .ok_or_else(|| invalid("header section exceeds 16 KiB"))?;
-    while line.ends_with('\n') || line.ends_with('\r') {
+        .ok_or_else(|| refused(431, "header section exceeds 16 KiB"))?;
+    while matches!(line.last(), Some(b'\n' | b'\r')) {
         line.pop();
     }
-    Ok(line)
+    String::from_utf8(line)
+        .map(Some)
+        .map_err(|_| refused(400, "header line is not UTF-8"))
 }
 
 /// Reads the header block shared by requests and responses, returning the
@@ -95,25 +144,25 @@ fn read_line(r: &mut impl BufRead, budget: &mut usize) -> std::io::Result<String
 fn read_headers(
     r: &mut impl BufRead,
     budget: &mut usize,
-) -> std::io::Result<(Vec<(String, String)>, usize)> {
+) -> Result<(Vec<(String, String)>, usize), ReadError> {
     let mut headers = Vec::new();
     let mut content_length = 0usize;
     loop {
-        let line = read_line(r, budget)?;
+        let line = read_line(r, budget)?.ok_or_else(unexpected_eof)?;
         if line.is_empty() {
             break;
         }
         let (name, value) = line
             .split_once(':')
-            .ok_or_else(|| invalid(format!("malformed header line '{line}'")))?;
+            .ok_or_else(|| refused(400, "malformed header line"))?;
         let name = name.trim().to_ascii_lowercase();
         let value = value.trim().to_owned();
         if name == "content-length" {
             content_length = value
                 .parse()
-                .map_err(|_| invalid(format!("bad content-length '{value}'")))?;
+                .map_err(|_| refused(400, "bad content-length"))?;
             if content_length > MAX_BODY_BYTES {
-                return Err(invalid("body exceeds 16 MiB"));
+                return Err(refused(413, "body exceeds 16 MiB"));
             }
         }
         headers.push((name, value));
@@ -129,22 +178,18 @@ fn read_body(r: &mut impl BufRead, len: usize) -> std::io::Result<Vec<u8>> {
 
 /// Reads one request off a keep-alive connection. `Ok(None)` means the
 /// peer closed the connection cleanly between requests.
-pub fn read_request(r: &mut impl BufRead) -> std::io::Result<Option<Request>> {
-    let mut first = String::new();
-    if r.read_line(&mut first)? == 0 {
+pub fn read_request(r: &mut impl BufRead) -> Result<Option<Request>, ReadError> {
+    let mut budget = MAX_HEADER_BYTES;
+    let Some(first) = read_line(r, &mut budget)? else {
         return Ok(None);
-    }
-    let mut budget = MAX_HEADER_BYTES.saturating_sub(first.len());
-    while first.ends_with('\n') || first.ends_with('\r') {
-        first.pop();
-    }
+    };
     let mut parts = first.split_ascii_whitespace();
     let (method, target, version) = match (parts.next(), parts.next(), parts.next()) {
         (Some(m), Some(t), Some(v)) => (m.to_owned(), t.to_owned(), v),
-        _ => return Err(invalid(format!("malformed request line '{first}'"))),
+        _ => return Err(refused(400, "malformed request line")),
     };
     if !version.starts_with("HTTP/1.") {
-        return Err(invalid(format!("unsupported protocol '{version}'")));
+        return Err(refused(400, "unsupported protocol"));
     }
     let (headers, content_length) = read_headers(r, &mut budget)?;
     let body = read_body(r, content_length)?;
@@ -163,7 +208,9 @@ pub fn reason(status: u16) -> &'static str {
         400 => "Bad Request",
         404 => "Not Found",
         405 => "Method Not Allowed",
+        413 => "Content Too Large",
         422 => "Unprocessable Entity",
+        431 => "Request Header Fields Too Large",
         500 => "Internal Server Error",
         503 => "Service Unavailable",
         _ => "Unknown",
@@ -222,12 +269,12 @@ pub fn write_request(
 /// Reads one client-side response: `(status, body)`.
 pub fn read_response(r: &mut impl BufRead) -> std::io::Result<(u16, Vec<u8>)> {
     let mut budget = MAX_HEADER_BYTES;
-    let status_line = read_line(r, &mut budget)?;
+    let status_line = read_line(r, &mut budget)?.ok_or_else(unexpected_eof)?;
     let status: u16 = status_line
         .split_ascii_whitespace()
         .nth(1)
         .and_then(|s| s.parse().ok())
-        .ok_or_else(|| invalid(format!("malformed status line '{status_line}'")))?;
+        .ok_or_else(|| refused(400, format!("malformed status line '{status_line}'")))?;
     let (_, content_length) = read_headers(r, &mut budget)?;
     let body = read_body(r, content_length)?;
     Ok((status, body))
@@ -259,15 +306,50 @@ mod tests {
         assert!(read_request(&mut cur).unwrap().is_none());
     }
 
+    /// The status a request is refused with; panics on anything else.
+    fn refusal(raw: &[u8]) -> u16 {
+        match read_request(&mut Cursor::new(raw)) {
+            Err(ReadError::Refused { status, .. }) => status,
+            other => panic!("expected a refusal, got {other:?}"),
+        }
+    }
+
     #[test]
     fn rejects_malformed_and_oversized_input() {
-        let mut cur = Cursor::new(&b"NOT-HTTP\r\n\r\n"[..]);
-        assert!(read_request(&mut cur).is_err());
-        let mut cur = Cursor::new(&b"GET / SPDY/3\r\n\r\n"[..]);
-        assert!(read_request(&mut cur).is_err());
+        assert_eq!(refusal(b"NOT-HTTP\r\n\r\n"), 400);
+        assert_eq!(refusal(b"GET / SPDY/3\r\n\r\n"), 400);
+        assert_eq!(refusal(b"GET / HTTP/1.1\r\nno colon here\r\n\r\n"), 400);
+        assert_eq!(refusal(b"GET / HTTP/1.1\r\nContent-Length: x\r\n\r\n"), 400);
         let raw = format!("GET / HTTP/1.1\r\nContent-Length: {}\r\n\r\n", usize::MAX);
-        let mut cur = Cursor::new(raw.into_bytes());
-        assert!(read_request(&mut cur).is_err());
+        assert_eq!(refusal(raw.as_bytes()), 413);
+        let raw = format!(
+            "GET / HTTP/1.1\r\nx: {}\r\n\r\n",
+            "a".repeat(MAX_HEADER_BYTES)
+        );
+        assert_eq!(refusal(raw.as_bytes()), 431);
+        // A stream that ends mid-message is not a refusal: nobody is left
+        // to answer.
+        let truncated = read_request(&mut Cursor::new(&b"GET / HTTP/1.1\r\nHost: h\r\n"[..]));
+        assert!(matches!(truncated, Err(ReadError::Io(_))), "{truncated:?}");
+    }
+
+    #[test]
+    fn a_line_without_newline_is_read_only_up_to_the_header_budget() {
+        let endless = vec![b'a'; 1 << 20];
+        let request_line = [&b"GET /"[..], &endless].concat();
+        let header_line = [&b"GET / HTTP/1.1\r\nx: "[..], &endless].concat();
+        for raw in [request_line, header_line] {
+            let mut cur = Cursor::new(raw);
+            assert!(matches!(
+                read_request(&mut cur),
+                Err(ReadError::Refused { status: 431, .. })
+            ));
+            assert!(
+                cur.position() <= MAX_HEADER_BYTES as u64 + 1,
+                "consumed {} bytes",
+                cur.position()
+            );
+        }
     }
 
     #[test]

@@ -47,10 +47,9 @@ pub struct ServerConfig {
     /// exact-body request cache gets a quarter of it on top. `0`
     /// disables both: every request recomputes from scratch.
     pub cache_mb: usize,
-    /// Solves in flight at once: at most this many `/solve` and
-    /// `/solve-batch` requests run decode → solve → certify together,
-    /// each inline on its connection's worker; the rest wait. `0` = one
-    /// per available core.
+    /// Solves in flight at once: at most this many `/solve` requests run
+    /// decode → solve → certify together, each inline on its
+    /// connection's worker; the rest wait. `0` = one per available core.
     pub solve_threads: usize,
 }
 
@@ -67,10 +66,6 @@ pub struct LoadgenConfig {
     pub mix: mc3_workload::RequestMix,
     /// p99 latency SLO for `/solve`, milliseconds.
     pub slo_p99_ms: Option<u64>,
-    /// Batch mode: `n > 1` posts each mix body as an `n`-item array to
-    /// `POST /solve-batch` and accounts per-item latencies; `0` or `1`
-    /// drives plain `POST /solve`.
-    pub batch: usize,
 }
 
 /// Starts a server and blocks forever (the `mc3 serve` entry point);

@@ -2,20 +2,13 @@
 //! serving plane.
 //!
 //! Workers share one atomic request ticket; ticket `i` maps through
-//! [`RequestMix::entry_for`](mc3_workload::RequestMix::entry_for) to a
-//! pre-serialized `/solve` body (every 16th ticket scrapes `/metrics`
+//! [`RequestMix::entry_index`](mc3_workload::RequestMix::entry_index) to
+//! a pre-serialized `/solve` body (every 16th ticket scrapes `/metrics`
 //! instead, so the report covers both routes). Request bodies are
 //! generated **once** up front, so the load measured is the server's,
 //! not the generator's. The run reports
 //! p50/p95/p99 per route and exits non-zero when the `/solve` p99
 //! exceeds `--slo p99=...`.
-//!
-//! With `--batch n` (n > 1) each mix body becomes an `n`-item
-//! [`mc3_workload::generate_batch`] array posted to `POST /solve-batch`;
-//! the run then accounts **per-item** latencies (an equal share of each
-//! request's wire latency) and failures from the response envelope's
-//! `count`/`ok` fields, and the SLO gate applies to the per-item
-//! `solve-batch` percentiles.
 //!
 //! The run also scrapes the server's cache counters
 //! (`mc3_cache_hits_total`, `mc3_request_cache_hits_total`, …) before
@@ -116,38 +109,20 @@ impl LoadReport {
     }
 }
 
-/// Pre-serialized request bodies, one per mix entry (same order as
-/// [`RequestMix::entries`]). In batch mode each body is an
-/// [`mc3_workload::generate_batch`] array targeting `/solve-batch`.
+/// Pre-serialized `/solve` targets and bodies, one per mix entry (same
+/// order as [`RequestMix::entries`](mc3_workload::RequestMix::entries)).
 fn prepare_bodies(cfg: &LoadgenConfig) -> Result<Vec<(String, Vec<u8>)>, String> {
-    let batch = cfg.batch.max(1);
     cfg.mix
         .entries()
         .iter()
         .map(|entry| {
             let mut body = Vec::new();
-            let target = if batch > 1 {
-                let items =
-                    mc3_workload::generate_batch(entry.kind, entry.queries, entry.seed, batch);
-                mc3_workload::write_batch_json(&items, &mut body)
-                    .map_err(|e| format!("cannot serialize workload '{}': {e}", entry.spec()))?;
-                format!("/solve-batch?algorithm={}", entry.algorithm)
-            } else {
-                let ds = mc3_workload::generate_dataset(entry.kind, entry.queries, entry.seed);
-                mc3_workload::write_dataset_json(&ds, &mut body)
-                    .map_err(|e| format!("cannot serialize workload '{}': {e}", entry.spec()))?;
-                format!("/solve?algorithm={}", entry.algorithm)
-            };
-            Ok((target, body))
+            let ds = mc3_workload::generate_dataset(entry.kind, entry.queries, entry.seed);
+            mc3_workload::write_dataset_json(&ds, &mut body)
+                .map_err(|e| format!("cannot serialize workload '{}': {e}", entry.spec()))?;
+            Ok((format!("/solve?algorithm={}", entry.algorithm), body))
         })
         .collect()
-}
-
-/// Lifts `(count, ok)` from a `/solve-batch` envelope; `None` when the
-/// body is not a well-formed envelope.
-fn parse_batch_envelope(body: &[u8]) -> Option<(u64, u64)> {
-    let doc = mc3_core::json::parse(std::str::from_utf8(body).ok()?).ok()?;
-    Some((doc.get("count")?.as_u64()?, doc.get("ok")?.as_u64()?))
 }
 
 /// Cache counters lifted from one `/metrics` exposition.
@@ -222,27 +197,11 @@ fn worker_loop(
         };
         // audit:allow(no-relaxed-atomics) reviewed: shared ticket counter — entry choice only needs uniqueness, not ordering
         let i = ticket.fetch_add(1, Ordering::Relaxed);
-        let solve_route = if cfg.batch > 1 {
-            "solve-batch"
-        } else {
-            "solve"
-        };
         let (route, method, target, body) = if i % SCRAPE_EVERY == SCRAPE_EVERY - 1 {
             ("metrics", "GET", "/metrics", None)
         } else {
-            let Some(entry) = cfg.mix.entry_for(i) else {
-                break;
-            };
-            let idx = cfg
-                .mix
-                .entries()
-                .iter()
-                .position(|e| std::ptr::eq(e, entry))
-                .unwrap_or(0);
-            match bodies.get(idx) {
-                Some((target, body)) => {
-                    (solve_route, "POST", target.as_str(), Some(body.as_slice()))
-                }
+            match cfg.mix.entry_index(i).and_then(|idx| bodies.get(idx)) {
+                Some((target, body)) => ("solve", "POST", target.as_str(), Some(body.as_slice())),
                 None => break,
             }
         };
@@ -250,38 +209,13 @@ fn worker_loop(
         let outcome =
             write_request(writer, method, target, body).and_then(|()| read_response(reader));
         let latency_ns = mc3_telemetry::monotonic_ns().saturating_sub(start);
-        match outcome {
-            Ok((status, body)) => {
-                if route == "solve-batch" && (200..300).contains(&status) {
-                    // Per-item accounting: the envelope says how many
-                    // items succeeded; each is charged an equal share of
-                    // the wire latency. A 200 that is not a well-formed
-                    // envelope counts as one failed item.
-                    let (count, ok) = parse_batch_envelope(&body).unwrap_or((1, 0));
-                    let per_item_ns = latency_ns / count.max(1);
-                    for item in 0..count.max(1) {
-                        samples.push(Sample {
-                            route,
-                            latency_ns: per_item_ns,
-                            ok: item < ok,
-                        });
-                    }
-                } else {
-                    samples.push(Sample {
-                        route,
-                        latency_ns,
-                        ok: (200..300).contains(&status),
-                    });
-                }
-            }
-            Err(_) => {
-                samples.push(Sample {
-                    route,
-                    latency_ns,
-                    ok: false,
-                });
-                conn = None; // transport error: reconnect on the next tick
-            }
+        samples.push(Sample {
+            route,
+            latency_ns,
+            ok: matches!(outcome, Ok((status, _)) if (200..300).contains(&status)),
+        });
+        if outcome.is_err() {
+            conn = None; // transport error: reconnect on the next tick
         }
     }
     samples
@@ -341,34 +275,22 @@ pub fn run_loadgen(cfg: &LoadgenConfig) -> Result<String, String> {
             ),
         ));
     }
-    // In batch mode the gate applies to per-item latencies on the
-    // solve-batch route — same quantity of work per sample either way.
-    let solve_route = if cfg.batch > 1 {
-        "solve-batch"
-    } else {
-        "solve"
-    };
-    let solve_p99 = report
-        .routes
-        .get(solve_route)
-        .and_then(|s| s.percentile_ns(99));
+    let solve_p99 = report.routes.get("solve").and_then(|s| s.percentile_ns(99));
     match (cfg.slo_p99_ms, solve_p99) {
         (Some(slo_ms), Some(p99_ns)) => {
             let p99_ms = p99_ns as f64 / 1e6;
             if p99_ns > slo_ms.saturating_mul(1_000_000) {
                 text.push_str(&format!(
-                    "slo: p99({solve_route}) = {p99_ms:.2}ms > {slo_ms}ms\nloadgen: SLO FAIL"
+                    "slo: p99(solve) = {p99_ms:.2}ms > {slo_ms}ms\nloadgen: SLO FAIL"
                 ));
                 return Err(text);
             }
             text.push_str(&format!(
-                "slo: p99({solve_route}) = {p99_ms:.2}ms <= {slo_ms}ms\nloadgen: PASS\n"
+                "slo: p99(solve) = {p99_ms:.2}ms <= {slo_ms}ms\nloadgen: PASS\n"
             ));
         }
         (Some(_), None) => {
-            text.push_str(&format!(
-                "slo: no successful /{solve_route} samples to measure\nloadgen: SLO FAIL"
-            ));
+            text.push_str("slo: no successful /solve samples to measure\nloadgen: SLO FAIL");
             return Err(text);
         }
         (None, _) => {}

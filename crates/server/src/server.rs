@@ -19,10 +19,16 @@
 //! 4. records route/status/latency into [`RequestMetrics`] and emits one
 //!    [`mc3_obs::access`] event.
 //!
-//! A `/solve` request (or a whole `/solve-batch`) that misses the request
-//! cache takes a solve-gate permit, so at most `--solve-threads` of them
-//! run decode → solve → certify at once, and is then solved inline on
-//! its connection's worker. Each `solve` span root merges into the
+//! A request that cannot be read — a malformed request line or header,
+//! a header section over 16 KiB, a body over 16 MiB — is answered 400,
+//! 431 or 413, counted under `route="other"`, logged as a `warn` event,
+//! and its connection is closed. A clean close or an idle timeout ends
+//! the connection silently.
+//!
+//! A `/solve` request that misses the request cache takes a solve-gate
+//! permit, so at most `--solve-threads` of them run decode → solve →
+//! certify at once, and is then solved inline on its connection's
+//! worker. Each `solve` span root merges into the
 //! process-wide telemetry aggregate when it closes, so the aggregate
 //! holds the whole tree: no per-request capture, no second store.
 //!
@@ -46,7 +52,7 @@
 //!    differ textually but contain isomorphic components still hit,
 //!    keyed by `mc3-core::canon` canonical fingerprints.
 
-use crate::http::{encode_response, read_request, Request};
+use crate::http::{encode_response, read_request, ReadError, Request};
 use crate::pool::ThreadPool;
 use crate::ServerConfig;
 use mc3_core::json::Json;
@@ -121,7 +127,7 @@ fn body_key(body: &[u8], algorithm: &str) -> u128 {
     h.finish128()
 }
 
-/// Admission for whole solves: at most `permits` holders at once, the
+/// Admission for `/solve` requests: at most `permits` holders at once, the
 /// rest wait and are admitted in arrival order. A permit is returned
 /// when its guard drops, so a handler panic cannot leak it.
 ///
@@ -411,8 +417,11 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
     loop {
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
-            Ok(None) => return, // clean close between requests
-            Err(_) => return,   // idle timeout or malformed framing
+            Ok(None) | Err(ReadError::Io(_)) => return, // clean close, idle timeout, broken stream
+            Err(ReadError::Refused { status, reason }) => {
+                refuse(state, &mut writer, status, &reason);
+                return;
+            }
         };
         let close = req.wants_close();
         let request_id = state.next_request_id();
@@ -424,6 +433,25 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
             return;
         }
     }
+}
+
+/// Answers a request that could not be read with `status`, counts it
+/// under `route="other"` and logs a `warn` event; the caller then closes
+/// the connection.
+fn refuse(state: &ServerState, writer: &mut TcpStream, status: u16, reason: &str) {
+    state.metrics.observe(Route::Other, status, 0);
+    mc3_obs::warn(
+        "server",
+        "request refused",
+        &[
+            ("status", mc3_obs::Value::U64(u64::from(status))),
+            ("reason", mc3_obs::Value::Str(reason.to_owned())),
+        ],
+    );
+    let response = error_response(status, reason);
+    let wire = encode_response(status, response.content_type, &response.body);
+    // audit:allow(no-swallowed-result) reviewed: the connection is closed next whether or not the answer was written
+    let _ = writer.write_all(&wire).and_then(|()| writer.flush());
 }
 
 /// Runs `handle` for `req` and returns the response's wire bytes, plus
@@ -497,10 +525,6 @@ fn error_response(status: u16, msg: &str) -> HandlerResponse {
 fn dispatch(state: &ServerState, req: &Request, request_id: &str) -> (Route, HandlerResponse) {
     match (req.method.as_str(), req.path()) {
         ("POST", "/solve") => (Route::Solve, handle_solve(state, req, request_id)),
-        ("POST", "/solve-batch") => (
-            Route::SolveBatch,
-            handle_solve_batch(state, req, request_id),
-        ),
         ("GET", "/metrics") => (Route::Metrics, handle_metrics(state)),
         ("GET", "/healthz") => (
             Route::Healthz,
@@ -511,7 +535,7 @@ fn dispatch(state: &ServerState, req: &Request, request_id: &str) -> (Route, Han
             },
         ),
         ("GET", "/buildinfo") => (Route::Buildinfo, handle_buildinfo()),
-        ("GET" | "POST", "/solve" | "/solve-batch" | "/metrics" | "/healthz" | "/buildinfo") => (
+        ("GET" | "POST", "/solve" | "/metrics" | "/healthz" | "/buildinfo") => (
             route_of(req.path()),
             error_response(405, "method not allowed for this route"),
         ),
@@ -522,7 +546,6 @@ fn dispatch(state: &ServerState, req: &Request, request_id: &str) -> (Route, Han
 fn route_of(path: &str) -> Route {
     match path {
         "/solve" => Route::Solve,
-        "/solve-batch" => Route::SolveBatch,
         "/metrics" => Route::Metrics,
         "/healthz" => Route::Healthz,
         "/buildinfo" => Route::Buildinfo,
@@ -607,16 +630,13 @@ fn handle_metrics(state: &ServerState) -> HandlerResponse {
     }
 }
 
-/// The `algorithm` query parameter of both solve routes (default `auto`).
-fn algorithm_param(req: &Request) -> Result<Algorithm, String> {
-    req.query_param("algorithm")
-        .map_or(Ok(Algorithm::Auto), Algorithm::parse_name)
-}
-
-/// `POST /solve`: the one-item case of [`solve_item`], behind the
-/// exact-body request cache.
+/// `POST /solve`: the dataset body decoded, solved and certified under a
+/// [`SolveGate`] permit, behind the exact-body request cache.
 fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match algorithm_param(req) {
+    let algorithm = match req
+        .query_param("algorithm")
+        .map_or(Ok(Algorithm::Auto), Algorithm::parse_name)
+    {
         Ok(a) => a,
         Err(e) => return error_response(400, &e),
     };
@@ -648,19 +668,10 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
     }
 
     let _permit = state.solve_gate.acquire();
-    let fields = std::str::from_utf8(&req.body)
-        .map_err(|_| "stream did not contain valid UTF-8".to_owned())
-        .and_then(|text| mc3_core::json::parse(text).map_err(|e| e.to_string()))
-        .map_err(|e| (400, format!("bad dataset: {e}")))
-        .and_then(|item| solve_item(state, item, algorithm));
-    let fields = match fields {
-        Ok(fields) => fields,
+    let response = match solve_document(state, &req.body, algorithm, request_id) {
+        Ok(doc) => json_response(200, &doc),
         Err((status, msg)) => return error_response(status, &msg),
     };
-    let doc = Json::object(
-        std::iter::once(("request_id", Json::Str(request_id.to_owned()))).chain(fields),
-    );
-    let response = json_response(200, &doc);
     if let (Some(cache), Some(key)) = (state.request_cache.as_ref(), key) {
         let entry = CachedResponse::new(&response.body, request_id);
         if let (Some(entry), Ok(mut cache)) = (entry, cache.lock()) {
@@ -675,22 +686,23 @@ fn handle_solve(state: &ServerState, req: &Request, request_id: &str) -> Handler
     response
 }
 
-/// One item of either solve route: decodes a dataset document and
-/// solves it, rendering the shared response fields (everything except
-/// `request_id`/`status`, which the callers add). `Err` carries the HTTP
+/// Decodes a dataset body, solves it inline (its span tree merges into
+/// the telemetry aggregate) and verifies a certificate for the solution,
+/// rendering the `/solve` response document. `Err` carries the HTTP
 /// status and message.
-///
-/// The caller holds a [`SolveGate`] permit; the item is solved inline
-/// and its span tree merges into the telemetry aggregate.
-fn solve_item(
+fn solve_document(
     state: &ServerState,
-    item: Json,
+    body: &[u8],
     algorithm: Algorithm,
-) -> Result<Vec<(&'static str, Json)>, (u16, String)> {
-    let ds = mc3_workload::DatasetFile::from_json(&item)
-        .and_then(|f| f.into_dataset().map_err(|e| e.to_string()))
+    request_id: &str,
+) -> Result<Json, (u16, String)> {
+    // The document tree is dropped before the solve: dead weight there.
+    let ds = std::str::from_utf8(body)
+        .map_err(|_| "stream did not contain valid UTF-8".to_owned())
+        .and_then(|text| mc3_core::json::parse(text).map_err(|e| e.to_string()))
+        .and_then(|doc| mc3_workload::DatasetFile::from_json(&doc))
+        .and_then(|file| file.into_dataset().map_err(|e| e.to_string()))
         .map_err(|e| (400, format!("bad dataset: {e}")))?;
-    drop(item); // the document tree is dead weight during the solve
     let mut solver = Mc3Solver::new().algorithm(algorithm);
     if let Some(cache) = &state.solve_cache {
         solver = solver.cache(Arc::clone(cache));
@@ -711,7 +723,8 @@ fn solve_item(
             .map(|c| Json::array(c.iter().map(|p| Json::Int(i128::from(p.0))))),
     );
     let ns = |d: std::time::Duration| Json::Int(d.as_nanos().min(u128::from(u64::MAX)) as i128);
-    Ok(vec![
+    Ok(Json::object([
+        ("request_id", Json::Str(request_id.to_owned())),
         ("dataset", Json::Str(ds.name.clone())),
         ("queries", Json::Int(ds.instance.num_queries() as i128)),
         ("algorithm", Json::Str(algorithm.name().to_owned())),
@@ -734,61 +747,7 @@ fn solve_item(
                 ("optimal", Json::Bool(cert.proves_optimality())),
             ]),
         ),
-    ])
-}
-
-/// `POST /solve-batch`: a JSON array of dataset documents in one body,
-/// one parse pass, one response, one [`SolveGate`] permit. Items are
-/// solved one after another and are fully independent: a bad or
-/// infeasible item reports its own `status`/`error` without failing its
-/// siblings, and every item gets its own verified certificate.
-/// Isomorphic items hit the shared component cache, so duplicate-heavy
-/// batches amortize both parsing and solving.
-fn handle_solve_batch(state: &ServerState, req: &Request, request_id: &str) -> HandlerResponse {
-    let algorithm = match algorithm_param(req) {
-        Ok(a) => a,
-        Err(e) => return error_response(400, &e),
-    };
-    let _permit = state.solve_gate.acquire();
-    let body = match std::str::from_utf8(&req.body) {
-        Ok(s) => s,
-        Err(_) => return error_response(400, "batch body must be UTF-8 JSON"),
-    };
-    let parsed = match mc3_core::json::parse(body) {
-        Ok(doc) => doc,
-        Err(e) => return error_response(400, &format!("bad batch body: {e}")),
-    };
-    let Json::Array(items) = parsed else {
-        return error_response(400, "batch body must be a JSON array of datasets");
-    };
-    if items.is_empty() {
-        return error_response(400, "empty batch");
-    }
-
-    let count = items.len();
-    let mut ok = 0usize;
-    let mut out = Vec::with_capacity(count);
-    for item in items {
-        let item_doc = match solve_item(state, item, algorithm) {
-            Ok(fields) => {
-                ok += 1;
-                Json::object(std::iter::once(("status", Json::Int(200))).chain(fields))
-            }
-            Err((status, msg)) => Json::object([
-                ("status", Json::Int(i128::from(status))),
-                ("error", Json::Str(msg)),
-            ]),
-        };
-        out.push(item_doc);
-    }
-    let doc = Json::object([
-        ("request_id", Json::Str(request_id.to_owned())),
-        ("algorithm", Json::Str(algorithm.name().to_owned())),
-        ("count", Json::Int(count as i128)),
-        ("ok", Json::Int(ok as i128)),
-        ("items", Json::Array(out)),
-    ]);
-    json_response(200, &doc)
+    ]))
 }
 
 #[cfg(test)]

@@ -9,7 +9,7 @@
 //! A second, cache-less server starts only after the first shut down.
 
 use mc3_server::{LoadgenConfig, Server, ServerConfig};
-use std::io::BufReader;
+use std::io::{BufReader, Read, Write};
 use std::net::TcpStream;
 
 fn request(
@@ -24,6 +24,24 @@ fn request(
     mc3_server::http::write_request(&mut writer, method, target, body).expect("write");
     let (status, body) = mc3_server::http::read_response(&mut reader).expect("read");
     (status, String::from_utf8(body).expect("utf8 body"))
+}
+
+/// Sends `raw` bytes as they are and reads the one response; also
+/// reports whether the server then closed the connection.
+fn raw_request(addr: std::net::SocketAddr, raw: &[u8]) -> (u16, String, bool) {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(10)))
+        .expect("read timeout");
+    stream.write_all(raw).expect("write");
+    let mut reader = BufReader::new(stream);
+    let (status, body) = mc3_server::http::read_response(&mut reader).expect("read");
+    // Closing with request bytes still unread resets the connection.
+    let closed = match reader.read(&mut [0u8; 1]) {
+        Ok(n) => n == 0,
+        Err(e) => e.kind() == std::io::ErrorKind::ConnectionReset,
+    };
+    (status, String::from_utf8(body).expect("utf8 body"), closed)
 }
 
 fn dataset_body(queries: usize, seed: u64) -> Vec<u8> {
@@ -106,8 +124,6 @@ fn serving_plane_end_to_end() {
     let (status, body) = request(addr, "POST", "/solve", Some(deep.as_bytes()));
     assert_eq!(status, 400, "deep /solve body: {body}");
     assert!(body.contains("nesting"), "deep /solve body: {body}");
-    let (status, _) = request(addr, "POST", "/solve-batch", Some(deep.as_bytes()));
-    assert_eq!(status, 400);
     let (status, body) = request(addr, "GET", "/healthz", None);
     assert_eq!((status, body.as_str()), (200, "ok\n"));
 
@@ -223,72 +239,59 @@ fn serving_plane_end_to_end() {
     );
     assert!(family_value(&m3, "mc3_cache_resident_bytes") > 0);
 
-    // --- /solve-batch: one body, many datasets, per-item verified
-    // certificates; duplicate items answered from the component cache ---
-    let batch_items =
-        mc3_workload::generate_batch(mc3_workload::GeneratorKind::DuplicateHeavy, 24, 5, 4);
-    let mut batch_body = Vec::new();
-    mc3_workload::write_batch_json(&batch_items, &mut batch_body).expect("serialize batch");
-    let (_, mb_before) = request(addr, "GET", "/metrics", None);
-    let hits_before = family_value(&mb_before, "mc3_cache_hits_total");
-    let (status, body) = request(addr, "POST", "/solve-batch", Some(&batch_body));
-    assert_eq!(status, 200, "batch failed: {body}");
-    let doc = mc3_core::json::parse(&body).expect("batch response json");
-    assert!(doc.get("request_id").and_then(|v| v.as_str()).is_some());
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(4));
-    assert_eq!(doc.get("ok").and_then(|v| v.as_u64()), Some(4));
-    let item_docs = doc
-        .get("items")
-        .and_then(|v| v.as_array())
-        .expect("items array");
-    for item in item_docs {
-        assert_eq!(item.get("status").and_then(|v| v.as_u64()), Some(200));
-        assert!(item.get("cost").and_then(|v| v.as_u64()).unwrap() > 0);
-        let cert = item.get("certificate").expect("per-item certificate");
-        assert_eq!(cert.get("valid").and_then(|v| v.as_bool()), Some(true));
-    }
-    // generate_batch duplicates consecutive seeds, so at least the
-    // duplicate items must have answered from the shared component cache.
-    let (_, mb_after) = request(addr, "GET", "/metrics", None);
-    assert!(
-        family_value(&mb_after, "mc3_cache_hits_total") > hits_before,
-        "isomorphic batch items must hit the component cache:\n{mb_after}"
-    );
-    assert!(requests_total(&mb_after, "solve-batch", "2xx") >= 1);
-    // Nothing was dropped.
-    assert_eq!(family_value(&mb_after, "mc3_requests_dropped_total"), 0);
-
-    // --- batch item isolation: a malformed item fails alone ---
-    let good = String::from_utf8(dataset_body(30, 9)).expect("utf8 dataset");
-    let mixed = format!("[{good}, {{\"nope\": 1}}]");
-    let (status, body) = request(addr, "POST", "/solve-batch", Some(mixed.as_bytes()));
-    assert_eq!(status, 200, "mixed batch failed: {body}");
-    let doc = mc3_core::json::parse(&body).expect("mixed batch json");
-    assert_eq!(doc.get("count").and_then(|v| v.as_u64()), Some(2));
-    assert_eq!(doc.get("ok").and_then(|v| v.as_u64()), Some(1));
-    let item_docs = doc
-        .get("items")
-        .and_then(|v| v.as_array())
-        .expect("items array");
-    assert_eq!(
-        item_docs[0].get("status").and_then(|v| v.as_u64()),
-        Some(200)
-    );
-    assert_eq!(
-        item_docs[1].get("status").and_then(|v| v.as_u64()),
-        Some(400)
-    );
-    assert!(item_docs[1].get("error").and_then(|v| v.as_str()).is_some());
-
-    // --- batch error paths ---
-    let (status, _) = request(addr, "POST", "/solve-batch", Some(b"not json"));
-    assert_eq!(status, 400);
-    let (status, _) = request(addr, "POST", "/solve-batch", Some(b"{}"));
-    assert_eq!(status, 400);
-    let (status, _) = request(addr, "POST", "/solve-batch", Some(b"[]"));
-    assert_eq!(status, 400);
+    // --- /solve is the only solve route: /solve-batch is an unknown
+    // path, counted under other/4xx ---
+    let (_, before) = request(addr, "GET", "/metrics", None);
+    let other_4xx = requests_total(&before, "other", "4xx");
+    let (status, _) = request(addr, "POST", "/solve-batch", Some(&body_bytes));
+    assert_eq!(status, 404);
     let (status, _) = request(addr, "GET", "/solve-batch", None);
-    assert_eq!(status, 405);
+    assert_eq!(status, 404);
+    let (_, after) = request(addr, "GET", "/metrics", None);
+    assert_eq!(requests_total(&after, "other", "4xx"), other_4xx + 2);
+    assert!(!after.contains("solve-batch"), "{after}");
+
+    // --- framing errors are answered, counted and closed ---
+    let framing: [(&str, Vec<u8>, u16); 4] = [
+        (
+            "oversized content-length",
+            b"POST /solve HTTP/1.1\r\ncontent-length: 99999999\r\n\r\n".to_vec(),
+            413,
+        ),
+        ("malformed request line", b"NOT-HTTP\r\n\r\n".to_vec(), 400),
+        (
+            "header line without a colon",
+            b"GET /healthz HTTP/1.1\r\nno colon here\r\n\r\n".to_vec(),
+            400,
+        ),
+        (
+            "20 KB header",
+            format!(
+                "GET /healthz HTTP/1.1\r\nx-pad: {}\r\n\r\n",
+                "a".repeat(20_000)
+            )
+            .into_bytes(),
+            431,
+        ),
+    ];
+    for (case, raw, want) in &framing {
+        let (status, body, closed) = raw_request(addr, raw);
+        assert_eq!(status, *want, "{case}: {body}");
+        assert!(body.contains("\"error\""), "{case}: {body}");
+        assert!(closed, "{case}: the connection must close after a refusal");
+    }
+    let (status, body) = request(addr, "GET", "/healthz", None);
+    assert_eq!((status, body.as_str()), (200, "ok\n"));
+    let (_, after_framing) = request(addr, "GET", "/metrics", None);
+    assert_eq!(
+        requests_total(&after_framing, "other", "4xx"),
+        other_4xx + 2 + framing.len() as u64
+    );
+    // Nothing was dropped.
+    assert_eq!(
+        family_value(&after_framing, "mc3_requests_dropped_total"),
+        0
+    );
 
     // --- loadgen against the live server: small mix, no failures ---
     let report = mc3_server::run_loadgen(&LoadgenConfig {
@@ -298,7 +301,6 @@ fn serving_plane_end_to_end() {
         mix: mc3_workload::RequestMix::parse("synthetic:40:7:general,synthetic-short:30:3")
             .expect("mix"),
         slo_p99_ms: Some(60_000),
-        batch: 1,
     })
     .expect("loadgen run");
     assert!(report.contains("route solve"), "report: {report}");
@@ -309,20 +311,6 @@ fn serving_plane_end_to_end() {
         "report: {report}"
     );
 
-    // --- batch-mode loadgen: per-item accounting on /solve-batch ---
-    let report = mc3_server::run_loadgen(&LoadgenConfig {
-        addr: addr.to_string(),
-        duration_secs: 1,
-        concurrency: 2,
-        mix: mc3_workload::RequestMix::parse("duplicate-heavy:24:5").expect("mix"),
-        slo_p99_ms: Some(60_000),
-        batch: 4,
-    })
-    .expect("batch loadgen run");
-    assert!(report.contains("route solve-batch"), "report: {report}");
-    assert!(report.contains("loadgen: PASS"), "report: {report}");
-    assert!(report.contains(" 0 failures"), "report: {report}");
-
     // --- an impossible SLO must fail the run (non-zero CLI exit) ---
     let err = mc3_server::run_loadgen(&LoadgenConfig {
         addr: addr.to_string(),
@@ -330,7 +318,6 @@ fn serving_plane_end_to_end() {
         concurrency: 1,
         mix: mc3_workload::RequestMix::parse("synthetic:40:7").expect("mix"),
         slo_p99_ms: Some(0),
-        batch: 1,
     })
     .expect_err("0ms SLO cannot pass");
     assert!(err.contains("loadgen: SLO FAIL"), "err: {err}");

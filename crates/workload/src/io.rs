@@ -276,19 +276,6 @@ pub fn write_dataset_json(ds: &Dataset, mut w: impl Write) -> std::io::Result<()
     w.write_all(json.as_bytes())
 }
 
-/// Writes a batch of datasets as one pretty JSON array — the
-/// `POST /solve-batch` wire format (each element is a full dataset
-/// document, exactly what `write_dataset_json` produces for one).
-pub fn write_batch_json(batch: &[Dataset], mut w: impl Write) -> std::io::Result<()> {
-    let doc = Json::Array(
-        batch
-            .iter()
-            .map(|ds| DatasetFile::from_dataset(ds).to_json())
-            .collect(),
-    );
-    w.write_all(doc.to_string_pretty().as_bytes())
-}
-
 /// Reads a dataset from JSON.
 pub fn read_dataset_json(mut r: impl Read) -> std::io::Result<Dataset> {
     let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);

@@ -26,8 +26,8 @@ pub mod subset;
 pub mod synthetic;
 
 pub use bestbuy::BestBuyConfig;
-pub use io::{read_dataset_json, write_batch_json, write_dataset_json, DatasetFile, WeightSpec};
-pub use mix::{generate_batch, generate_dataset, GeneratorKind, MixEntry, RequestMix};
+pub use io::{read_dataset_json, write_dataset_json, DatasetFile, WeightSpec};
+pub use mix::{generate_dataset, GeneratorKind, MixEntry, RequestMix};
 pub use private_like::{PrivateCategory, PrivateConfig};
 pub use subset::random_subset;
 pub use synthetic::{PropertyPopularity, SyntheticConfig};

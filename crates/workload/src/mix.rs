@@ -88,18 +88,6 @@ pub fn generate_dataset(kind: GeneratorKind, queries: usize, seed: u64) -> Datas
     }
 }
 
-/// Generates an `n`-item batch for one spec — the payload of one
-/// `POST /solve-batch` request. Item `i` uses seed `seed + i/2`, so
-/// consecutive pairs are exact duplicates: every batch of `n > 1` is
-/// guaranteed intra-batch isomorphic work for the solve cache while
-/// still rotating through `⌈n/2⌉` distinct instances. Deterministic,
-/// like [`generate_dataset`].
-pub fn generate_batch(kind: GeneratorKind, queries: usize, seed: u64, n: usize) -> Vec<Dataset> {
-    (0..n.max(1))
-        .map(|i| generate_dataset(kind, queries, seed.wrapping_add(i as u64 / 2)))
-        .collect()
-}
-
 /// Fixed pool of connected component shapes (local property ids). Every
 /// duplicate-heavy instance is a seed-shuffled concatenation of these on
 /// disjoint property ranges, so any two instances — whatever their seeds
@@ -275,21 +263,22 @@ impl RequestMix {
         self.entries.iter().map(|e| u64::from(e.weight)).sum()
     }
 
-    /// The entry request number `i` maps to: a weighted round-robin over
-    /// the rotation period. Pure arithmetic on `i`, so concurrent load
-    /// workers can pick entries independently and the whole run is
-    /// reproducible. `None` only for an empty mix (unreachable through
+    /// The index into [`entries`](RequestMix::entries) that request
+    /// number `i` maps to: a weighted round-robin over the rotation
+    /// period. Pure arithmetic on `i`, so concurrent load workers can pick
+    /// entries independently and the whole run is reproducible. `None`
+    /// only for an empty mix (unreachable through
     /// [`parse`](RequestMix::parse) / [`pinned`](RequestMix::pinned)).
-    pub fn entry_for(&self, i: u64) -> Option<&MixEntry> {
+    pub fn entry_index(&self, i: u64) -> Option<usize> {
         let period = self.total_weight();
         if period == 0 {
             return None;
         }
         let mut slot = i % period;
-        for entry in &self.entries {
+        for (idx, entry) in self.entries.iter().enumerate() {
             let w = u64::from(entry.weight);
             if slot < w {
-                return Some(entry);
+                return Some(idx);
             }
             slot -= w;
         }
@@ -390,15 +379,13 @@ mod tests {
     fn entry_rotation_honors_weights_deterministically() {
         let mix = RequestMix::parse("synthetic:10:1x2,synthetic-short:20:2").unwrap();
         let picks: Vec<usize> = (0..6u64)
-            .map(|i| {
-                let e = mix.entry_for(i).expect("non-empty mix");
-                usize::from(e.kind == GeneratorKind::SyntheticShort)
-            })
+            .map(|i| mix.entry_index(i).expect("non-empty mix"))
             .collect();
-        // Period 3: two heavy picks then one light, repeating.
+        // Period 3: two heavy picks (entry 0) then one light (entry 1),
+        // repeating.
         assert_eq!(picks, vec![0, 0, 1, 0, 0, 1]);
         // Same index, same entry — always.
-        assert_eq!(mix.entry_for(4), mix.entry_for(1));
+        assert_eq!(mix.entry_index(4), mix.entry_index(1));
     }
 
     #[test]
