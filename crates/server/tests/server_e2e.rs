@@ -172,22 +172,40 @@ fn serving_plane_end_to_end() {
         m1.contains("mc3_span_wall_nanoseconds_total{span=\"solve\"}"),
         "aggregated solve span missing from:\n{m1}"
     );
-    // The solve cache fingerprints and consults each component where it
-    // is solved, under the request's solve_core.
-    for span in ["cache.canon", "cache.consult"] {
+    // The solve cache's doorkeeper solves a component uncached on its
+    // first sighting: counted as a miss, never fingerprinted or consulted.
+    let first_sightings = family_value(&m1, "mc3_cache_first_sightings_total");
+    assert!(first_sightings >= 1, "{m1}");
+    assert_eq!(
+        family_value(&m1, "mc3_cache_hits_total") + family_value(&m1, "mc3_cache_misses_total"),
+        components,
+        "one lookup per component in:\n{m1}"
+    );
+    let canon_before: Vec<u64> = ["cache.canon", "cache.consult"]
+        .iter()
+        .map(|span| {
+            let n = span_instances(&m1, &format!("solve/solve_core/{span}"));
+            assert_eq!(n, components - first_sightings, "{span} in:\n{m1}");
+            n
+        })
+        .collect();
+
+    // The second solve of the body (`auto` resolves to `general` here)
+    // fingerprints and consults each component where it is solved, under
+    // the request's solve_core, and inserts it.
+    let (_, _) = request(addr, "POST", "/solve", Some(&body_bytes));
+    let (_, m2) = request(addr, "GET", "/metrics", None);
+    for (span, before) in ["cache.canon", "cache.consult"].iter().zip(&canon_before) {
         assert_eq!(
-            span_instances(&m1, &format!("solve/solve_core/{span}")),
+            span_instances(&m2, &format!("solve/solve_core/{span}")) - before,
             components,
-            "one {span} per component in:\n{m1}"
+            "one {span} per component in:\n{m2}"
         );
     }
     assert!(
-        span_instances(&m1, "solve/solve_core/cache.insert") >= 1,
-        "{m1}"
+        span_instances(&m2, "solve/solve_core/cache.insert") >= 1,
+        "{m2}"
     );
-
-    let (_, _) = request(addr, "POST", "/solve", Some(&body_bytes));
-    let (_, m2) = request(addr, "GET", "/metrics", None);
     assert!(requests_total(&m2, "solve", "2xx") > solves_before);
     assert!(requests_total(&m2, "metrics", "2xx") >= 1);
     assert!(requests_total(&m2, "other", "4xx") >= 1);

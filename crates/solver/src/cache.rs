@@ -27,23 +27,48 @@
 //! concurrent solves (the server's requests) rarely contend. Each
 //! shard is a [`ByteLru`] with a sixteenth of the capacity as its byte
 //! budget; entry sizes are estimated from their set payloads. All
-//! statistics live under the shard locks — no atomics — and are summed
-//! on demand by [`SolveCache::stats`]. Hits, misses,
+//! statistics live under the shard locks — the only atomics are the
+//! doorkeeper's tags (see "Admission") — and are summed on demand by
+//! [`SolveCache::stats`]. Hits, misses, first sightings,
 //! evictions and lookup latency are also reported through the
 //! `mc3-telemetry` registry (`cache_hits`/`cache_misses`/
-//! `cache_evictions`/`cache_lookup_ns`), which is what surfaces them as
+//! `cache_first_sightings`/`cache_evictions`/`cache_lookup_ns`), which
+//! is what surfaces them as
 //! `mc3_cache_*` Prometheus families in `mc3 serve`; components that
 //! never reach a lookup because canonicalization ran out of budget are
 //! counted as `canon_budget_exhausted`.
+//!
+//! # Admission
+//!
+//! On cold traffic almost no component repeats, yet canonicalizing one
+//! costs about as much as a WSC solve of it. So a component is only
+//! fingerprinted from its second sighting on, as in TinyLFU's doorkeeper
+//! (Einziger, Friedman & Manes, 2017). Each component first gets a cheap
+//! [`prekey`]: a hash, invariant under relabelling, of the configuration
+//! digest, the query count, the property degrees and, per query, its
+//! length, covered count and the `(|mask|, |mask ∩ covered|, weight)`
+//! multiset of its finite classifiers. `SolveCache::admit` swaps the
+//! pre-key's tag into a fixed 4096-slot direct-mapped table shared by
+//! every solver of the cache. A tag that was not in its slot is a *first
+//! sighting*: the component is solved uncached (no canonicalization,
+//! lookup or insert) and counted as a miss and in `cache_first_sightings`,
+//! so hits + misses still equal the components that reached the cache.
+//! A tag that was there runs the canonicalize → consult → solve → insert
+//! protocol. A pre-key collision costs one canonicalization and an
+//! evicted slot one extra uncached solve; neither changes an answer.
 
 use crate::work::WorkState;
 use mc3_core::canon::{self, Canonical, StableHasher};
-use mc3_core::{u32_of, ClassifierId, FxHashMap, PropSet, Weight};
+use mc3_core::{u32_of, ClassifierId, FxHashMap, PropSet, Query, Weight};
 use std::collections::BTreeMap;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 /// Number of lock stripes. A power of two so shard selection is a mask.
 const SHARDS: usize = 16;
+
+/// log2 of the admission doorkeeper's slot count (see "Admission" above).
+const DOORKEEPER_BITS: u32 = 12;
 
 /// Fixed per-entry overhead estimate (map node, LRU node, `Entry`).
 const ENTRY_OVERHEAD: usize = 112;
@@ -200,6 +225,7 @@ struct Shard {
     hits: u64,
     negative_hits: u64,
     misses: u64,
+    first_sightings: u64,
     evictions: u64,
     insertions: u64,
 }
@@ -212,8 +238,12 @@ pub struct CacheStats {
     /// Uncoverable verdicts replayed from the cache (after re-verifying
     /// that the component is still uncoverable).
     pub negative_hits: u64,
-    /// Lookups that found nothing usable (including failed re-verifies).
+    /// Lookups that found nothing usable (including failed re-verifies),
+    /// and first sightings.
     pub misses: u64,
+    /// Components solved uncached on their first sighting (counted in
+    /// `misses` too): never canonicalized, looked up or inserted.
+    pub first_sightings: u64,
     /// Entries evicted to stay under the byte budget.
     pub evictions: u64,
     /// Entries inserted over the cache's lifetime.
@@ -232,6 +262,8 @@ pub struct CacheStats {
 /// alias).
 pub struct SolveCache {
     shards: Vec<Mutex<Shard>>,
+    /// The admission doorkeeper: per slot, the last pre-key tag seen.
+    doorkeeper: Box<[AtomicU64]>,
     capacity: usize,
 }
 
@@ -256,10 +288,14 @@ impl SolveCache {
                         hits: 0,
                         negative_hits: 0,
                         misses: 0,
+                        first_sightings: 0,
                         evictions: 0,
                         insertions: 0,
                     })
                 })
+                .collect(),
+            doorkeeper: (0..1usize << DOORKEEPER_BITS)
+                .map(|_| AtomicU64::new(0))
                 .collect(),
             capacity: bytes,
         }
@@ -301,10 +337,35 @@ impl SolveCache {
 
     /// Records a miss (no entry, or a candidate that failed verification).
     pub fn note_miss(&self, key: u128) {
+        self.count_miss(key, false);
+    }
+
+    fn count_miss(&self, key: u128, first_sighting: bool) {
         if let Ok(mut shard) = self.shard(key).lock() {
             shard.misses += 1;
+            shard.first_sightings += u64::from(first_sighting);
         }
         mc3_telemetry::count(mc3_telemetry::Counter::CacheMisses, 1);
+        if first_sighting {
+            mc3_telemetry::count(mc3_telemetry::Counter::CacheFirstSightings, 1);
+        }
+    }
+
+    /// The doorkeeper: records a sighting of a component whose
+    /// [`prekey`] is `prekey`. `true` when the same pre-key held its slot,
+    /// so the component is worth fingerprinting; `false` on a first
+    /// sighting, which is counted as a miss and a first sighting.
+    pub(crate) fn admit(&self, prekey: u64) -> bool {
+        // The top bits pick the slot; the low bit set keeps every tag off
+        // the empty slot's 0.
+        let tag = prekey | 1;
+        let slot = &self.doorkeeper[(prekey >> (64 - DOORKEEPER_BITS)) as usize];
+        // audit:allow(no-relaxed-atomics) reviewed: a tag publishes no other data, and a lost race costs at most one canonicalization or one uncached solve
+        if slot.swap(tag, Ordering::Relaxed) == tag {
+            return true;
+        }
+        self.count_miss(u128::from(prekey), true);
+        false
     }
 
     /// Drops an entry that failed re-verification (collision/corruption).
@@ -353,6 +414,7 @@ impl SolveCache {
                 s.hits += shard.hits;
                 s.negative_hits += shard.negative_hits;
                 s.misses += shard.misses;
+                s.first_sightings += shard.first_sightings;
                 s.evictions += shard.evictions;
                 s.insertions += shard.insertions;
                 s.entries += shard.lru.len() as u64;
@@ -390,24 +452,65 @@ pub(crate) fn config_digest(
     h.finish128() as u64
 }
 
-/// Canonicalizes one residual component of the working state: the
-/// original queries with their covered masks, and the live weight
-/// oracle (removed / absent → ∞, selected → 0). A component that runs
-/// out of canonicalization budget is counted and solved uncached.
-fn component_canonical(ws: &WorkState<'_>, comp: &[usize], kp: usize) -> Option<Canonical> {
-    let queries: Vec<(&mc3_core::Query, u32)> = comp
-        .iter()
-        .map(|&q| (&ws.instance.queries()[q], ws.covered[q]))
-        .collect();
-    let canonical = canon::canonicalize(&queries, kp, canon::DEFAULT_BUDGET, |qi, mask| {
-        let local = ws.universe.query_local(comp[qi]);
-        let id = local.table[mask as usize];
-        if id.is_none() || !ws.is_available(id) {
-            Weight::INFINITE
-        } else {
-            ws.weight[id.index()]
+/// The splitmix64 finalizer: a cheap 64-bit mixer whose outputs the
+/// pre-key sums, so the sums stay order-independent without sorting.
+fn mix64(mut x: u64) -> u64 {
+    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    x ^ (x >> 31)
+}
+
+/// The doorkeeper's pre-key of a component given as [`canon::canonicalize`]
+/// takes it: `(query, covered mask)` pairs, the length bound `kp` and the
+/// weight oracle, plus `degree_of(qi, bit)`, the number of the
+/// component's queries holding the `bit`-th smallest property of query
+/// `qi`. One pass, no sorting: per query, its length, covered count,
+/// member degrees and the `(|mask|, |mask ∩ covered|, weight)` multiset
+/// of its finite classifiers within `kp` are summed through a 64-bit mixer;
+/// the query hashes are summed likewise and mixed with the query count
+/// and `config_digest`. Relabelling properties or reordering queries
+/// leaves it unchanged, so isomorphic components share a pre-key.
+pub fn prekey(
+    config_digest: u64,
+    queries: &[(&Query, u32)],
+    kp: usize,
+    mut degree_of: impl FnMut(usize, usize) -> u32,
+    mut weight_of: impl FnMut(usize, u32) -> Weight,
+) -> u64 {
+    const DEGREE: u64 = 0x6A09_E667_F3BC_C908;
+    const ENTRY: u64 = 0xBB67_AE85_84CA_A73B;
+    let mut sum = 0u64;
+    for (qi, &(q, covered)) in queries.iter().enumerate() {
+        let len = q.len();
+        let covered = covered & ((1u32 << len) - 1);
+        let mut h = mix64(((len as u64) << 32) | u64::from(covered.count_ones()));
+        for bit in 0..len {
+            h = h.wrapping_add(mix64(DEGREE ^ u64::from(degree_of(qi, bit))));
         }
-    });
+        for mask in 1..1u32 << len {
+            if mask.count_ones() as usize > kp {
+                continue;
+            }
+            let w = weight_of(qi, mask);
+            if w.is_finite() {
+                let shape = (mask.count_ones() << 8) | (mask & covered).count_ones();
+                h = h.wrapping_add(mix64(ENTRY ^ mix64(w.raw()) ^ u64::from(shape)));
+            }
+        }
+        sum = sum.wrapping_add(mix64(h));
+    }
+    mix64(config_digest ^ mix64(sum ^ queries.len() as u64))
+}
+
+/// Canonicalizes one residual component (see [`CacheContext::solve_component`]
+/// for its inputs). A component that runs out of canonicalization budget
+/// is counted and solved uncached.
+fn component_canonical(
+    queries: &[(&Query, u32)],
+    kp: usize,
+    weight_of: impl FnMut(usize, u32) -> Weight,
+) -> Option<Canonical> {
+    let canonical = canon::canonicalize(queries, kp, canon::DEFAULT_BUDGET, weight_of);
     if canonical.is_none() {
         mc3_telemetry::count(mc3_telemetry::Counter::CanonBudgetExhausted, 1);
     }
@@ -533,19 +636,50 @@ pub(crate) struct CacheContext {
 }
 
 impl CacheContext {
-    /// The whole cache protocol for one component: canonicalize, then
-    /// lookup → remap + re-verify; on a miss, run `solve` and memoize its
-    /// result (an uncoverable verdict included). A component whose
-    /// canonicalization runs out of budget is solved uncached.
+    /// The whole cache protocol for one component: the doorkeeper, then
+    /// canonicalize, then lookup → remap + re-verify; on a miss, run
+    /// `solve` and memoize its result (an uncoverable verdict included).
+    /// A first sighting, or a component whose canonicalization runs out
+    /// of budget, is solved uncached.
+    ///
+    /// The component is seen as the canonical form sees it: the original
+    /// queries with their covered masks, and the live weight oracle
+    /// (removed / absent → ∞, selected → 0).
     pub fn solve_component(
         &self,
         ws: &WorkState<'_>,
         comp: &[usize],
         solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
     ) -> mc3_core::Result<Vec<ClassifierId>> {
+        let queries: Vec<(&Query, u32)> = comp
+            .iter()
+            .map(|&q| (&ws.instance.queries()[q], ws.covered[q]))
+            .collect();
+        let weight_of = |qi: usize, mask: u32| {
+            let id = ws.universe.query_local(comp[qi]).table[mask as usize];
+            if id.is_none() || !ws.is_available(id) {
+                Weight::INFINITE
+            } else {
+                ws.weight[id.index()]
+            }
+        };
+        // Every alive query holding a property is in its component, so the
+        // singleton's alive-query count is the property's degree here.
+        let degree_of = |qi: usize, bit: usize| {
+            let id = ws.universe.query_local(comp[qi]).table[1 << bit];
+            if id.is_none() {
+                0
+            } else {
+                ws.relevant_count[id.index()]
+            }
+        };
+        let prekey = prekey(self.digest, &queries, self.kp, degree_of, weight_of);
+        if !self.cache.admit(prekey) {
+            return solve();
+        }
         let canonical = {
             let _span = mc3_telemetry::span("cache.canon");
-            component_canonical(ws, comp, self.kp)
+            component_canonical(&queries, self.kp, weight_of)
         };
         let Some(canonical) = canonical else {
             return solve();
@@ -652,6 +786,22 @@ mod tests {
         assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
         assert_eq!(s.capacity_bytes, 1024 * 1024);
         assert!(s.resident_bytes > 0);
+    }
+
+    #[test]
+    fn doorkeeper_admits_second_sightings() {
+        let cache = SolveCache::with_capacity_mb(1);
+        let (a, b) = (0xABCD_0000_0000_0010u64, 0xABCD_0000_0000_0020u64);
+        assert!(!cache.admit(a), "first sighting");
+        assert!(cache.admit(a), "second sighting");
+        assert!(cache.admit(a), "third sighting");
+        // `b` shares `a`'s slot (same top bits): it takes the slot over,
+        // so `a` is seen for the first time again.
+        assert!(!cache.admit(b));
+        assert!(!cache.admit(a));
+        let s = cache.stats();
+        assert_eq!((s.first_sightings, s.misses, s.hits), (3, 3, 0));
+        assert_eq!((s.insertions, s.entries), (0, 0));
     }
 
     #[test]

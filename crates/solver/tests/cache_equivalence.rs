@@ -5,16 +5,22 @@
 //!   and returns the uncached result), and re-solving the same instance
 //!   against the warm cache reproduces the same cost with a valid cover
 //!   served from the hit path;
+//! * **admission** — a shape is solved uncached on its first sighting and
+//!   fingerprinted, solved fresh and inserted on its second, so the
+//!   second solve of a one-component instance still returns the
+//!   cache-off classifiers and only the third hits;
 //! * **relabel-invariance** — for a random property/query permutation
-//!   `π`, solving `π(I)` against a cache warmed by `I` answers every
-//!   component from the cache (the canonical fingerprints agree) and
-//!   yields the cost of `solve(I)` with a remap-consistent, verifying
-//!   solution;
+//!   `π`, solving `π(I)` against a cache warmed by two solves of `I`
+//!   answers every component from the cache (the canonical fingerprints
+//!   agree) and yields the cost of `solve(I)` with a remap-consistent,
+//!   verifying solution;
 //! * **symmetric components** — 20 disjoint uniform-cost queries of
-//!   length 7 each canonicalize within the budget: one miss, 19 hits;
+//!   length 7 each canonicalize within the budget: one first sighting,
+//!   one miss that inserts, 18 hits;
 //! * **a cache solves each repeated shape once** — on replicated shapes,
 //!   a cached solve consults once per component, inserts once per miss
-//!   and misses at most once per shape;
+//!   that is not a first sighting, and sees each shape for the first
+//!   time at most once;
 //! * **concurrent solvers share one cache** — the server's pattern: two
 //!   threads, each with its own solver, solve against one `SolveCache`
 //!   at the uncached cost and consult once per component between them.
@@ -69,24 +75,85 @@ fn cache_on_equals_cache_off() {
         cold.verify(&instance).expect("uncached cover");
 
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
-        let first = solver(Some(&cache)).solve(&instance).expect("cached solve");
+        let first = solver(Some(&cache))
+            .solve_report(&instance)
+            .expect("cached solve");
         assert_eq!(
             cold.classifiers(),
-            first.classifiers(),
+            first.solution.classifiers(),
             "seed {seed}: a fresh cache must not change the solution"
         );
-        assert_eq!(cold.cost(), first.cost(), "seed {seed}");
+        assert_eq!(cold.cost(), first.solution.cost(), "seed {seed}");
 
         let stats = cache.stats();
         assert_eq!(stats.hits, 0, "seed {seed}: fresh cache cannot hit");
-        assert!(stats.misses > 0, "seed {seed}: components must consult");
+        assert_eq!(
+            stats.misses, first.components as u64,
+            "seed {seed}: every component consults once"
+        );
+        assert!(stats.first_sightings > 0, "seed {seed}: {stats:?}");
+        assert_eq!(
+            stats.insertions,
+            stats.misses - stats.first_sightings,
+            "seed {seed}: every miss but a first sighting inserts"
+        );
 
-        let warm = solver(Some(&cache)).solve(&instance).expect("warm solve");
-        warm.verify(&instance).expect("seed {seed}: warm cover");
-        assert_eq!(cold.cost(), warm.cost(), "seed {seed}: warm cost drifted");
-        assert!(
-            cache.stats().hits > 0,
-            "seed {seed}: identical re-solve must hit"
+        // The second solve inserts every shape; the third hits them all.
+        let warm = |round: u32| {
+            let warm = solver(Some(&cache)).solve(&instance).expect("warm solve");
+            warm.verify(&instance).expect("seed {seed}: warm cover");
+            assert_eq!(
+                cold.cost(),
+                warm.cost(),
+                "seed {seed}: solve {round} drifted the cost"
+            );
+        };
+        warm(2);
+        let hits_before = cache.stats().hits;
+        warm(3);
+        assert_eq!(
+            cache.stats().hits - hits_before,
+            first.components as u64,
+            "seed {seed}: the third identical solve must hit every component"
+        );
+    }
+}
+
+#[test]
+fn second_sightings_solve_fresh_then_hit() {
+    // Every query also holds the shared property 100, so each instance is
+    // one component: solve 1 is its first sighting, solve 2 fingerprints,
+    // misses and inserts, solve 3 hits.
+    for seed in 0..CASES {
+        let (mut queries, _) = random_instance(seed);
+        for q in &mut queries {
+            q.push(100);
+        }
+        let instance =
+            Instance::new(queries, Weights::seeded(seed, 1, 30)).expect("valid instance");
+        let cold = solver(None).solve(&instance).expect("uncached solve");
+        let cache = Arc::new(SolveCache::with_capacity_mb(8));
+        let solve = || solver(Some(&cache)).solve(&instance).expect("cached solve");
+        let first = solve();
+        let second = solve();
+        assert_eq!(
+            cold.classifiers(),
+            first.classifiers(),
+            "seed {seed}: first sighting"
+        );
+        assert_eq!(
+            cold.classifiers(),
+            second.classifiers(),
+            "seed {seed}: a non-cached second solve must return the cache-off classifiers"
+        );
+        let third = solve();
+        third.verify(&instance).expect("seed {seed}: served cover");
+        assert_eq!(cold.cost(), third.cost(), "seed {seed}: served cost");
+        let s = cache.stats();
+        assert_eq!(
+            (s.first_sightings, s.misses, s.insertions, s.hits),
+            (1, 2, 1, 1),
+            "seed {seed}: {s:?}"
         );
     }
 }
@@ -128,10 +195,16 @@ fn relabeled_instances_are_served_from_the_cache() {
         });
         let pi_instance = Instance::new(permuted, transported).expect("valid instance");
 
+        // Two solves of I: the first sights every shape, the second
+        // inserts it.
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
         let base = solver(Some(&cache))
             .solve_report(&instance)
             .expect("warming solve");
+        let again = solver(Some(&cache))
+            .solve_report(&instance)
+            .expect("warming solve");
+        assert_eq!(base.solution.cost(), again.solution.cost(), "seed {seed}");
         let hits_before = cache.stats().hits;
 
         let pi = solver(Some(&cache))
@@ -158,8 +231,8 @@ const COPIES: u32 = 4;
 
 #[test]
 fn cached_solves_solve_each_repeated_shape_once() {
-    // The first copy of a shape misses and inserts, and every later copy
-    // consults the entry it left.
+    // The first copy of a shape is a first sighting, the second misses
+    // and inserts, and every later copy consults the entry it left.
     for seed in 0..40 {
         let instance = replicated_instance(seed, COPIES);
         let uncached = Mc3Solver::new()
@@ -181,11 +254,15 @@ fn cached_solves_solve_each_repeated_shape_once() {
             components,
             "seed {seed}: every component consults once"
         );
-        assert_eq!(s.insertions, s.misses, "seed {seed}: every miss inserts");
+        assert_eq!(
+            s.insertions,
+            s.misses - s.first_sightings,
+            "seed {seed}: every miss but a first sighting inserts"
+        );
         assert!(
-            s.misses <= components / u64::from(COPIES),
-            "seed {seed}: {} misses for {components} components in {COPIES} copies",
-            s.misses
+            s.first_sightings <= components / u64::from(COPIES)
+                && s.misses <= 2 * components / u64::from(COPIES),
+            "seed {seed}: {s:?} for {components} components in {COPIES} copies"
         );
     }
 }
@@ -270,15 +347,19 @@ fn negative_verdicts_memoize_and_replay() {
         assert_eq!(uncached, expected, "seed {seed}: uncached verdict");
 
         let cache = Arc::new(SolveCache::with_capacity_mb(4));
-        let cold = solver(Some(&cache))
-            .solve(&instance)
-            .expect_err("uncoverable");
-        assert_eq!(cold, expected, "seed {seed}: cold cached verdict");
-        assert_eq!(
-            cache.stats().negative_hits,
-            0,
-            "seed {seed}: a fresh cache cannot hit"
-        );
+        // The first solve sights the uncoverable shape, the second
+        // memoizes its verdict, the third replays it.
+        for round in [1, 2] {
+            let cold = solver(Some(&cache))
+                .solve(&instance)
+                .expect_err("uncoverable");
+            assert_eq!(cold, expected, "seed {seed}: cached verdict {round}");
+            assert_eq!(
+                cache.stats().negative_hits,
+                0,
+                "seed {seed}: solve {round} cannot hit"
+            );
+        }
 
         let warm = solver(Some(&cache))
             .solve(&instance)
@@ -286,7 +367,7 @@ fn negative_verdicts_memoize_and_replay() {
         assert_eq!(warm, expected, "seed {seed}: replayed verdict drifted");
         assert!(
             cache.stats().negative_hits > 0,
-            "seed {seed}: the second solve must replay the memoized verdict"
+            "seed {seed}: the third solve must replay the memoized verdict"
         );
     }
 }
@@ -308,11 +389,15 @@ fn k2_pipeline_uses_the_cache_too() {
             .solve(&instance)
             .expect("k2 solve")
     };
+    // Solve 1 sights each shape and solve 2 inserts it, so solve 3 hits.
     let a = run();
     let b = run();
+    let c = run();
     a.verify(&instance).expect("cover");
     b.verify(&instance).expect("cover");
+    c.verify(&instance).expect("cover");
     assert_eq!(a.cost(), b.cost());
+    assert_eq!(a.cost(), c.cost());
     assert!(cache.stats().hits > 0, "k2 components must hit on re-solve");
 }
 
@@ -345,8 +430,9 @@ fn symmetric_components_are_fingerprinted_and_shared() {
     // 20 disjoint uniform-cost queries of length 7: every property of a
     // query is interchangeable, so the canonical search tree has 7!
     // leaves unless automorphisms prune it. Each component must
-    // canonicalize within the default budget: the first one misses, the
-    // other 19 are answered from its entry.
+    // canonicalize within the default budget: the first one is a first
+    // sighting, the second misses and inserts, the other 18 are answered
+    // from its entry.
     let queries: Vec<Vec<u32>> = (0..20u32).map(|c| (7 * c..7 * c + 7).collect()).collect();
     let instance = Instance::new(queries, Weights::uniform(1u64)).expect("valid instance");
     let served = |cache: Option<&Arc<SolveCache>>| {
@@ -362,5 +448,14 @@ fn symmetric_components_are_fingerprinted_and_shared() {
     cached.verify(&instance).expect("cached cover");
     assert_eq!(cold.cost(), cached.cost());
     let stats = cache.stats();
-    assert_eq!((stats.misses, stats.hits), (1, 19), "{stats:?}");
+    assert_eq!(
+        (
+            stats.first_sightings,
+            stats.misses,
+            stats.insertions,
+            stats.hits
+        ),
+        (1, 2, 1, 18),
+        "{stats:?}"
+    );
 }

@@ -8,7 +8,13 @@
 //! shuffled query order, covered bits moved with the sorted-member order
 //! and the weight oracle transported. Then:
 //!
-//! * the two fingerprints are equal, or both canonicalizations abort;
+//! * the two fingerprints are equal, or both canonicalizations abort; a
+//!   one-sided abort (legitimate since automorphism pruning: the two
+//!   searches walk different trees) is re-run at four times the budget,
+//!   where both must finish with equal fingerprints;
+//! * the two admission pre-keys (`cache::prekey`) are equal, and so are
+//!   the pre-keys of any two components of one instance that fingerprint
+//!   the same, so the doorkeeper never keeps an isomorphic copy out;
 //! * bumping one finite weight, or flipping one covered bit, changes the
 //!   fingerprint (either changes an invariant — the weight multiset or
 //!   the covered count — so the mutant is never isomorphic);
@@ -21,6 +27,7 @@
 use mc3_core::canon::{self, Canonical};
 use mc3_core::rng::prelude::*;
 use mc3_core::{ClassifierUniverse, PropId, PropSet, Query, Weight};
+use mc3_solver::cache;
 use mc3_solver::components::connected_components;
 use mc3_solver::preprocess::preprocess;
 use mc3_solver::work::WorkState;
@@ -42,12 +49,39 @@ struct Component {
     kp: usize,
 }
 
+/// Any configuration digest: the pre-key only mixes it in.
+const DIGEST: u64 = 0x00D1_6E57;
+
 impl Component {
+    fn weight(&self, qi: usize, mask: u32) -> Weight {
+        self.class[qi][mask as usize].map_or(Weight::INFINITE, |c| self.weights[c])
+    }
+
     fn canonicalize(&self) -> Option<Canonical> {
+        self.canonicalize_within(canon::DEFAULT_BUDGET)
+    }
+
+    fn canonicalize_within(&self, budget: usize) -> Option<Canonical> {
         let queries: Vec<(&Query, u32)> = self.queries.iter().map(|(q, c)| (q, *c)).collect();
-        canon::canonicalize(&queries, self.kp, canon::DEFAULT_BUDGET, |qi, mask| {
-            self.class[qi][mask as usize].map_or(Weight::INFINITE, |c| self.weights[c])
-        })
+        canon::canonicalize(&queries, self.kp, budget, |qi, mask| self.weight(qi, mask))
+    }
+
+    /// The doorkeeper's pre-key, with property degrees counted here.
+    fn prekey(&self) -> u64 {
+        let mut degree: mc3_core::FxHashMap<PropId, u32> = mc3_core::FxHashMap::default();
+        for (q, _) in &self.queries {
+            for &p in q.ids() {
+                *degree.entry(p).or_default() += 1;
+            }
+        }
+        let queries: Vec<(&Query, u32)> = self.queries.iter().map(|(q, c)| (q, *c)).collect();
+        cache::prekey(
+            DIGEST,
+            &queries,
+            self.kp,
+            |qi, bit| degree[&self.queries[qi].0.ids()[bit]],
+            |qi, mask| self.weight(qi, mask),
+        )
     }
 
     /// The copy under the property map `perm` with queries listed in
@@ -103,6 +137,21 @@ fn residual_components(kind: GeneratorKind, queries: usize, seed: u64) -> Vec<Co
     comps
         .iter()
         .map(|comp| {
+            // The solver's pre-key reads a property's degree from its
+            // singleton's alive-query count; pin that it is the degree
+            // within the component.
+            let mut degree: mc3_core::FxHashMap<PropId, u32> = mc3_core::FxHashMap::default();
+            for &q in comp {
+                for &p in instance.queries()[q].ids() {
+                    *degree.entry(p).or_default() += 1;
+                }
+            }
+            for &q in comp {
+                for (bit, p) in instance.queries()[q].ids().iter().enumerate() {
+                    let singleton = ws.universe.query_local(q).table[1 << bit];
+                    assert_eq!(ws.relevant_count[singleton.index()], degree[p]);
+                }
+            }
             let mut index = mc3_core::FxHashMap::default();
             let mut weights = Vec::new();
             let class = comp
@@ -147,6 +196,8 @@ struct Tally {
     components: usize,
     exhausted: usize,
     mutants: usize,
+    /// Components that fingerprint like an earlier one of the instance.
+    repeats: usize,
 }
 
 /// Checks every residual component of one corpus instance; returns the
@@ -155,6 +206,7 @@ fn check_corpus(kind: GeneratorKind, queries: usize, seed: u64) -> Tally {
     let label = format!("{}/{queries}/{seed}", kind.name());
     let mut rng = StdRng::seed_from_u64(seed ^ 0xCA_F0_0D);
     let mut tally = Tally::default();
+    let mut prekey_of: mc3_core::FxHashMap<u128, u64> = mc3_core::FxHashMap::default();
     for (ci, comp) in residual_components(kind, queries, seed)
         .into_iter()
         .enumerate()
@@ -179,23 +231,50 @@ fn check_corpus(kind: GeneratorKind, queries: usize, seed: u64) -> Tally {
         };
         let mut order: Vec<usize> = (0..comp.queries.len()).collect();
         order.shuffle(&mut rng);
-        let copy = comp.relabel(&perm, &order).canonicalize();
+        let relabelled = comp.relabel(&perm, &order);
+        let copy = relabelled.canonicalize();
+        assert_eq!(
+            comp.prekey(),
+            relabelled.prekey(),
+            "{label} component {ci}: relabelled copy has another pre-key"
+        );
 
-        let base = match (base, copy) {
-            (Some(a), Some(b)) => {
-                assert_eq!(
-                    a.fingerprint(),
-                    b.fingerprint(),
-                    "{label} component {ci}: relabelled copy fingerprints differently"
-                );
-                a
-            }
+        let (a, b) = match (base, copy) {
+            (Some(a), Some(b)) => (a, b),
             (None, None) => {
                 tally.exhausted += 1;
                 continue;
             }
-            _ => panic!("{label} component {ci}: budget abort is not isomorphism-invariant"),
+            _ => {
+                tally.exhausted += 1;
+                let retry = |c: &Component| {
+                    c.canonicalize_within(4 * canon::DEFAULT_BUDGET)
+                        .unwrap_or_else(|| {
+                            panic!("{label} component {ci}: one-sided abort at 4x the budget")
+                        })
+                };
+                (retry(&comp), retry(&relabelled))
+            }
         };
+        assert_eq!(
+            a.fingerprint(),
+            b.fingerprint(),
+            "{label} component {ci}: relabelled copy fingerprints differently"
+        );
+        let base = a;
+        match prekey_of.entry(base.fingerprint()) {
+            std::collections::hash_map::Entry::Occupied(seen) => {
+                tally.repeats += 1;
+                assert_eq!(
+                    *seen.get(),
+                    comp.prekey(),
+                    "{label} component {ci}: an isomorphic component has another pre-key"
+                );
+            }
+            std::collections::hash_map::Entry::Vacant(slot) => {
+                slot.insert(comp.prekey());
+            }
+        }
 
         // Bump one finite weight the oracle exposes (pick a random query,
         // then a random finite classifier of it within k').
@@ -266,6 +345,9 @@ fn synthetic_and_duplicate_heavy_components_are_relabelling_invariant() {
     ] {
         let t = check_corpus(kind, queries, seed);
         assert!(t.components > 0, "{}: {t:?}", kind.name());
+        if kind == GeneratorKind::DuplicateHeavy {
+            assert!(t.repeats > 0, "shared shapes must repeat: {t:?}");
+        }
     }
 }
 
@@ -291,10 +373,11 @@ fn uniform_single_queries_canonicalize_within_budget() {
         let base = comp
             .canonicalize()
             .unwrap_or_else(|| panic!("length {len}: exhausted the budget"));
-        let copy = comp
-            .relabel(&perm, &[0])
+        let relabelled = comp.relabel(&perm, &[0]);
+        let copy = relabelled
             .canonicalize()
             .unwrap_or_else(|| panic!("length {len}: relabelled copy exhausted the budget"));
         assert_eq!(base.fingerprint(), copy.fingerprint(), "length {len}");
+        assert_eq!(comp.prekey(), relabelled.prekey(), "length {len}");
     }
 }

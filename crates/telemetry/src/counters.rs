@@ -102,8 +102,12 @@ declare_counters! {
     VerifyCertificateChecks => "verify_certificate_checks",
     /// Solve cache: component lookups answered from the cache.
     CacheHits => "cache_hits",
-    /// Solve cache: component lookups that missed (or failed re-verify).
+    /// Solve cache: component lookups that missed (or failed re-verify),
+    /// and first sightings.
     CacheMisses => "cache_misses",
+    /// Solve cache: components solved uncached on their first sighting
+    /// (counted in `cache_misses` too).
+    CacheFirstSightings => "cache_first_sightings",
     /// Solve cache: entries evicted to stay under the byte budget.
     CacheEvictions => "cache_evictions",
     /// Solve cache: infeasibility verdicts replayed from the cache.
