@@ -137,13 +137,10 @@ pub enum Command {
         /// Dataset JSON path.
         dataset: String,
     },
-    /// `mc3 serve [--addr HOST:PORT] [--workers N] [--cache-mb MB]
-    /// [--solve-threads N]`
+    /// `mc3 serve [--addr HOST:PORT] [--cache-mb MB] [--solve-threads N]`
     Serve {
         /// Listen address.
         addr: String,
-        /// Worker threads (0 = one per available core).
-        workers: usize,
         /// Solve-cache budget in MiB (0 disables both caches).
         cache_mb: usize,
         /// Solves in flight at once (0 = one per available core).
@@ -192,8 +189,7 @@ USAGE:
   mc3 parse <QUERIES.txt> [--uniform-cost <N> | --cost-range <LO..HI> [--seed <S>]]
             --out <FILE|->
   mc3 compare <DATASET.json>
-  mc3 serve [--addr <HOST:PORT>] [--workers <N>] [--cache-mb <MB>]
-            [--solve-threads <N>]
+  mc3 serve [--addr <HOST:PORT>] [--cache-mb <MB>] [--solve-threads <N>]
   mc3 loadgen [--addr <HOST:PORT>] [--duration <SECS>] [--concurrency <N>]
               [--mix <kind:queries:seed[:algo][xW],...>] [--slo p99=<MS>]
   mc3 help
@@ -455,13 +451,11 @@ impl Cli {
             },
             "serve" => {
                 let mut addr = "127.0.0.1:7920".to_owned();
-                let mut workers = 0usize;
                 let mut cache_mb = 64usize;
                 let mut solve_threads = 0usize;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--addr" => addr = s.value_of("--addr")?,
-                        "--workers" => workers = s.parsed("--workers")?,
                         "--cache-mb" => cache_mb = s.parsed("--cache-mb")?,
                         "--solve-threads" => solve_threads = s.parsed("--solve-threads")?,
                         other => return Err(format!("unknown flag '{other}' for serve")),
@@ -469,7 +463,6 @@ impl Cli {
                 }
                 Command::Serve {
                     addr,
-                    workers,
                     cache_mb,
                     solve_threads,
                 }
@@ -825,12 +818,10 @@ mod tests {
         match cli.command {
             Command::Serve {
                 addr,
-                workers,
                 cache_mb,
                 solve_threads,
             } => {
                 assert_eq!(addr, "127.0.0.1:7920");
-                assert_eq!(workers, 0);
                 assert_eq!(cache_mb, 64);
                 assert_eq!(solve_threads, 0);
             }
@@ -840,8 +831,6 @@ mod tests {
             "serve",
             "--addr",
             "0.0.0.0:8080",
-            "--workers",
-            "6",
             "--cache-mb",
             "128",
             "--solve-threads",
@@ -851,12 +840,10 @@ mod tests {
         match cli.command {
             Command::Serve {
                 addr,
-                workers,
                 cache_mb,
                 solve_threads,
             } => {
                 assert_eq!(addr, "0.0.0.0:8080");
-                assert_eq!(workers, 6);
                 assert_eq!(cache_mb, 128);
                 assert_eq!(solve_threads, 5);
             }
@@ -912,6 +899,10 @@ mod tests {
         assert!(Cli::parse(["loadgen", "--slo", "p50=10"]).is_err());
         assert!(Cli::parse(["loadgen", "--concurrency", "0"]).is_err());
         assert!(Cli::parse(["serve", "--frob"]).is_err());
+        // Each connection is served on a thread of its own: no flag sizes
+        // a worker pool.
+        let err = Cli::parse(["serve", "--workers", "4"]).expect_err("--workers is gone");
+        assert!(err.contains("unknown flag '--workers'"), "{err}");
         // `--cache-mb 0` is the one way to turn caching off.
         assert!(Cli::parse(["serve", "--no-cache"]).is_err());
         assert!(Cli::parse(["bench-gate", "--baseline", "b.json", "--cache"]).is_err());

@@ -98,19 +98,17 @@ pub fn run(cli: &Cli) -> Result<String, String> {
         Command::Compare { dataset } => compare(dataset),
         Command::Serve {
             addr,
-            workers,
             cache_mb,
             solve_threads,
         } => {
             let cfg = mc3_server::ServerConfig {
                 addr: addr.clone(),
-                workers: *workers,
                 cache_mb: *cache_mb,
                 solve_threads: *solve_threads,
             };
             let server = mc3_server::Server::start(&cfg)?;
-            // Announce before blocking: `join` only returns on a fatal
-            // accept-loop error, and scripts need the resolved port.
+            // Announce before blocking: `join` does not return while the
+            // server runs, and scripts need the resolved port.
             println!("mc3 serve: listening on http://{}", server.local_addr());
             server.join()
         }

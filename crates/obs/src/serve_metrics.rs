@@ -279,7 +279,7 @@ impl RequestMetrics {
         }
         let _ = writeln!(
             out,
-            "# HELP mc3_requests_dropped_total Connections answered 503 without being served (worker pool shutting down)."
+            "# HELP mc3_requests_dropped_total Connections answered 503 without being served (connection bound reached or thread spawn failed)."
         );
         let _ = writeln!(out, "# TYPE mc3_requests_dropped_total counter");
         // audit:allow(no-relaxed-atomics) reviewed: monotonic counter read for a scrape

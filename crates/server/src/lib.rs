@@ -4,7 +4,7 @@
 //!
 //! Zero external dependencies, like the rest of the workspace: the HTTP
 //! layer is a hand-rolled HTTP/1.1 subset over `std::net::TcpListener`
-//! ([`http`]), requests run on a fixed [`pool`] of worker threads, and
+//! ([`http`]), each connection is served on a thread of its own, and
 //! all timing goes through [`mc3_telemetry::monotonic_ns`].
 //!
 //! * [`server`] — `mc3 serve`: `POST /solve` (dataset JSON in, solve
@@ -29,7 +29,6 @@
 
 pub mod http;
 pub mod loadgen;
-pub mod pool;
 pub mod server;
 
 pub use loadgen::{run_loadgen, LoadReport, RouteStats};
@@ -40,16 +39,13 @@ pub use server::{Server, ServerState};
 pub struct ServerConfig {
     /// Listen address, e.g. `127.0.0.1:7920` (`:0` picks a free port).
     pub addr: String,
-    /// Worker threads; `0` = one per available core (floor 8, so the
-    /// default covers `mc3 loadgen --concurrency 8`).
-    pub workers: usize,
     /// Byte budget (MiB) for the cross-request solve cache; the
     /// exact-body request cache gets a quarter of it on top. `0`
     /// disables both: every request recomputes from scratch.
     pub cache_mb: usize,
     /// Solves in flight at once: at most this many `/solve` requests run
     /// decode → solve → certify together, each inline on its
-    /// connection's worker; the rest wait. `0` = one per available core.
+    /// connection's thread; the rest wait. `0` = one per available core.
     pub solve_threads: usize,
 }
 
@@ -69,7 +65,7 @@ pub struct LoadgenConfig {
 }
 
 /// Starts a server and blocks forever (the `mc3 serve` entry point);
-/// returns only on a fatal accept-loop error.
+/// returns only if the accept thread panics.
 pub fn serve_forever(cfg: &ServerConfig) -> Result<String, String> {
     Server::start(cfg)?.join()
 }

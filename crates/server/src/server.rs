@@ -6,8 +6,9 @@
 //!
 //! The accept thread owns the **one** long-lived
 //! [`mc3_telemetry::Session`] (keeping the telemetry gate open for the
-//! server's lifetime) and hands each accepted connection to a worker.
-//! Per request, the worker:
+//! server's lifetime) and serves each accepted connection on a thread of
+//! its own, at most `MAX_CONNECTIONS` at once. Per request, the
+//! connection's thread:
 //!
 //! 1. generates a request id and installs an
 //!    [`mc3_obs::request_id_scope`] so every event-log line the request
@@ -28,7 +29,7 @@
 //! A `/solve` request that misses the request cache takes a solve-gate
 //! permit, so at most `--solve-threads` of them run decode → solve →
 //! certify at once, and is then solved inline on its connection's
-//! worker. Each `solve` span root merges into the
+//! thread. Each `solve` span root merges into the
 //! process-wide telemetry aggregate when it closes, so the aggregate
 //! holds the whole tree: no per-request capture, no second store.
 //!
@@ -48,12 +49,11 @@
 //!    stable hash of the raw body plus the algorithm selector; a hit
 //!    replays the full 200 response with `request_id` re-stamped;
 //! 2. the **cross-request component cache** ([`mc3_solver::SolveCache`],
-//!    shared by every worker via [`Mc3Solver::cache`]) — bodies that
+//!    shared by every connection via [`Mc3Solver::cache`]) — bodies that
 //!    differ textually but contain isomorphic components still hit,
 //!    keyed by `mc3-core::canon` canonical fingerprints.
 
 use crate::http::{encode_response, read_request, ReadError, Request};
-use crate::pool::ThreadPool;
 use crate::ServerConfig;
 use mc3_core::json::Json;
 use mc3_core::StableHasher;
@@ -66,9 +66,16 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
-/// How long a keep-alive connection may sit idle before the worker
-/// reclaims itself.
+/// How long a keep-alive connection may sit idle before its thread
+/// closes it.
 const IDLE_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Connections served at once; one more is answered 503 and dropped.
+const MAX_CONNECTIONS: usize = 256;
+
+/// How long the accept loop waits after a failed `accept()` (out of file
+/// descriptors, an aborted handshake) before it tries again.
+const ACCEPT_BACKOFF: Duration = Duration::from_millis(10);
 
 /// Fixed per-entry overhead charged by the request cache on top of the
 /// rendered body: key, LRU slot, map slot, id range.
@@ -180,6 +187,54 @@ impl Drop for Permit<'_> {
     }
 }
 
+/// The open connections, at most `limit` of them. Each holds a [`Slot`]
+/// that frees its place when it drops, on return or while unwinding, so
+/// a panicking connection thread cannot leak one; the accept loop waits
+/// here for the last connection to close before the server stops.
+struct Connections {
+    limit: usize,
+    open: Mutex<usize>,
+    closed: Condvar,
+}
+
+/// A held [`Connections`] place.
+struct Slot(Arc<Connections>);
+
+impl Connections {
+    fn new(limit: usize) -> Arc<Connections> {
+        Arc::new(Connections {
+            limit,
+            open: Mutex::new(0),
+            closed: Condvar::new(),
+        })
+    }
+
+    /// Takes a place for a new connection; `None` when `limit` are open.
+    fn open(self: &Arc<Self>) -> Option<Slot> {
+        let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
+        if *open >= self.limit {
+            return None;
+        }
+        *open += 1;
+        Some(Slot(Arc::clone(self)))
+    }
+
+    /// Blocks until every slot has been dropped.
+    fn wait_closed(&self) {
+        let mut open = self.open.lock().unwrap_or_else(|p| p.into_inner());
+        while *open > 0 {
+            open = self.closed.wait(open).unwrap_or_else(|p| p.into_inner());
+        }
+    }
+}
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        *self.0.open.lock().unwrap_or_else(|p| p.into_inner()) -= 1;
+        self.0.closed.notify_all();
+    }
+}
+
 /// Solves allowed in flight: `--solve-threads`, or one per available
 /// core when it is `0`.
 fn solve_threads(cfg: &ServerConfig) -> usize {
@@ -236,11 +291,11 @@ impl ServerState {
 
 /// A running server; dropping it does **not** stop the accept loop —
 /// call [`Server::shutdown`] (tests) or [`Server::join`] (the CLI, which
-/// blocks until a fatal accept-loop error).
+/// blocks for the life of the process).
 pub struct Server {
     addr: SocketAddr,
     stop: Arc<AtomicBool>,
-    accept: Option<JoinHandle<Result<(), String>>>,
+    accept: JoinHandle<()>,
     state: Arc<ServerState>,
 }
 
@@ -254,16 +309,6 @@ impl Server {
         let addr = listener
             .local_addr()
             .map_err(|e| format!("cannot read bound address: {e}"))?;
-        let workers = if cfg.workers == 0 {
-            // Each live connection parks on a worker, so the floor must
-            // cover the loadgen default of 8 concurrent connections.
-            std::thread::available_parallelism()
-                .map(std::num::NonZeroUsize::get)
-                .unwrap_or(8)
-                .max(8)
-        } else {
-            cfg.workers
-        };
         let state = Arc::new(ServerState::new(cfg));
         let stop = Arc::new(AtomicBool::new(false));
         let accept = {
@@ -271,7 +316,7 @@ impl Server {
             let stop = Arc::clone(&stop);
             std::thread::Builder::new()
                 .name("mc3-serve-accept".to_owned())
-                .spawn(move || accept_loop(&listener, workers, &state, &stop))
+                .spawn(move || accept_loop(&listener, &state, &stop))
                 .map_err(|e| format!("cannot spawn accept thread: {e}"))?
         };
         mc3_obs::info(
@@ -279,7 +324,6 @@ impl Server {
             "listening",
             &[
                 ("addr", mc3_obs::Value::Str(addr.to_string())),
-                ("workers", mc3_obs::Value::U64(workers as u64)),
                 (
                     "solve_threads",
                     mc3_obs::Value::U64(solve_threads(cfg) as u64),
@@ -297,7 +341,7 @@ impl Server {
         Ok(Server {
             addr,
             stop,
-            accept: Some(accept),
+            accept,
             state,
         })
     }
@@ -312,114 +356,126 @@ impl Server {
         &self.state
     }
 
-    /// Blocks until the accept loop exits — which it never does except on
-    /// a fatal listener error or [`Server::shutdown`] from another thread.
-    pub fn join(mut self) -> Result<String, String> {
-        match self.accept.take() {
-            Some(handle) => match handle.join() {
-                Ok(Ok(())) => Ok("server stopped\n".to_owned()),
-                Ok(Err(e)) => Err(e),
-                Err(_) => Err("accept thread panicked".to_owned()),
-            },
-            None => Ok(String::new()),
-        }
+    /// Blocks until the accept loop exits, which it does only after
+    /// [`Server::shutdown`] from another thread or a panic.
+    pub fn join(self) -> Result<String, String> {
+        self.accept
+            .join()
+            .map(|()| "server stopped\n".to_owned())
+            .map_err(|_| "accept thread panicked".to_owned())
     }
 
-    /// Stops the accept loop and joins it (workers drain first).
-    pub fn shutdown(mut self) -> Result<(), String> {
+    /// Stops the accept loop and joins it; it returns once the last open
+    /// connection has closed.
+    pub fn shutdown(self) -> Result<(), String> {
         // audit:allow(no-relaxed-atomics) reviewed: SeqCst — the stop flag must be visible to the accept loop before the wake-up connection below
         self.stop.store(true, Ordering::SeqCst);
         // Wake the blocking accept() with a throwaway connection; a
         // failure means the accept loop is already gone, which is fine.
         // audit:allow(no-swallowed-result) reviewed: best-effort wake-up, both outcomes converge on the join below
         let _ = TcpStream::connect(self.addr);
-        match self.accept.take() {
-            Some(handle) => match handle.join() {
-                Ok(r) => r,
-                Err(_) => Err("accept thread panicked".to_owned()),
-            },
-            None => Ok(()),
-        }
+        self.accept
+            .join()
+            .map_err(|_| "accept thread panicked".to_owned())
     }
 }
 
-fn accept_loop(
-    listener: &TcpListener,
-    workers: usize,
-    state: &Arc<ServerState>,
-    stop: &Arc<AtomicBool>,
-) -> Result<(), String> {
-    let pool = match ThreadPool::new(workers) {
-        Ok(pool) => pool,
-        Err(e) => return Err(format!("cannot spawn server workers: {e}")),
-    };
+fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>, stop: &AtomicBool) {
     // The server-lifetime telemetry session: opens the recording gate so
     // every request's span tree lands in the aggregate /metrics renders.
     // Finished (and discarded) only when the accept loop ends.
     let session = mc3_telemetry::Session::begin();
-    let result = loop {
+    let connections = Connections::new(MAX_CONNECTIONS);
+    loop {
         let conn = listener.accept();
         // audit:allow(no-relaxed-atomics) reviewed: SeqCst pairs with the store in shutdown(); the wake-up connection happens-after it
         if stop.load(Ordering::SeqCst) {
-            break Ok(());
+            break;
         }
         match conn {
-            Ok((stream, _)) => {
-                // Keep a write handle so a rejected connection gets an
-                // explicit 503 instead of hanging until its client times
-                // out; the pool only rejects while shutting down.
-                let reject_writer = stream.try_clone();
-                let conn_state = Arc::clone(state);
-                let accepted = pool.execute(move || serve_connection(stream, &conn_state));
-                if !accepted {
-                    state.metrics.observe_dropped();
-                    state.metrics.observe(Route::Other, 503, 0);
-                    mc3_obs::warn(
-                        "server",
-                        "connection rejected: worker pool unavailable",
-                        &[],
-                    );
-                    if let Ok(mut w) = reject_writer {
-                        let wire = encode_response(
-                            503,
-                            "application/json",
-                            b"{\"error\":\"server is shutting down\"}\n",
-                        );
-                        // audit:allow(no-swallowed-result) reviewed: best-effort courtesy response on a doomed connection
-                        let _ = w.write_all(&wire).and_then(|()| w.flush());
-                    }
-                }
+            Ok((stream, _)) => spawn_connection(stream, state, &connections),
+            // Out of file descriptors, or a client that reset before it
+            // was accepted: neither is the listener's fault, and the next
+            // accept may well succeed once a connection closes.
+            Err(e) => {
+                mc3_obs::warn(
+                    "server",
+                    "accept failed; retrying",
+                    &[("error", mc3_obs::Value::Str(e.to_string()))],
+                );
+                std::thread::sleep(ACCEPT_BACKOFF);
             }
-            Err(e) => break Err(format!("accept failed: {e}")),
         }
-    };
-    // Join workers before closing the telemetry session. Its report is
-    // unused: /metrics served the aggregate live.
-    drop(pool);
+    }
+    // Wait for open connections before closing the telemetry session. Its
+    // report is unused: /metrics served the aggregate live.
+    connections.wait_closed();
     session.finish();
-    result
 }
 
-fn serve_connection(stream: TcpStream, state: &ServerState) {
-    // Without the read timeout an idle client would pin its worker
-    // forever, so a socket that cannot take one is not worth serving.
+/// Serves `stream` on a thread of its own, or answers it 503 — counted
+/// in `mc3_requests_dropped_total` — when the connection bound is reached
+/// or the thread cannot be spawned.
+fn spawn_connection(stream: TcpStream, state: &Arc<ServerState>, connections: &Arc<Connections>) {
+    let Some(slot) = connections.open() else {
+        state.metrics.observe_dropped();
+        refuse(state, &stream, 503, "too many open connections");
+        return;
+    };
+    // Shared so that a failed spawn, which drops the thread's closure,
+    // still leaves a handle to answer on. The thread is not joined: its
+    // slot stands for it, and `Connections::wait_closed` is the join.
+    let stream = Arc::new(stream);
+    let conn_stream = Arc::clone(&stream);
+    let conn_state = Arc::clone(state);
+    let spawned = std::thread::Builder::new()
+        .name("mc3-serve-conn".to_owned())
+        .spawn(move || {
+            // The backstop: a panic inside a request is already answered
+            // 500 by `answer`, so only a panic outside one (connection
+            // setup, the write path) reaches here. It ends this connection
+            // alone; the slot is freed while unwinding.
+            let served = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let _slot = slot;
+                serve_connection(&conn_stream, &conn_state);
+            }));
+            if served.is_err() {
+                mc3_obs::warn(
+                    "server",
+                    "connection thread panicked outside a request; its connection was dropped",
+                    &[],
+                );
+            }
+        });
+    if let Err(e) = spawned {
+        state.metrics.observe_dropped();
+        refuse(
+            state,
+            &stream,
+            503,
+            &format!("cannot spawn a connection thread: {e}"),
+        );
+    }
+}
+
+fn serve_connection(stream: &TcpStream, state: &ServerState) {
+    // Without the read timeout an idle client would hold its thread and
+    // connection slot forever, so a socket that cannot take one is not
+    // worth serving.
     if stream.set_read_timeout(Some(IDLE_TIMEOUT)).is_err() {
         return;
     }
     if stream.set_nodelay(true).is_err() {
         mc3_obs::debug("server", "set_nodelay failed; serving anyway", &[]);
     }
-    let mut writer = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
+    let mut writer = stream;
     let mut reader = BufReader::new(stream);
     loop {
         let req = match read_request(&mut reader) {
             Ok(Some(req)) => req,
             Ok(None) | Err(ReadError::Io(_)) => return, // clean close, idle timeout, broken stream
             Err(ReadError::Refused { status, reason }) => {
-                refuse(state, &mut writer, status, &reason);
+                refuse(state, stream, status, &reason);
                 return;
             }
         };
@@ -435,10 +491,11 @@ fn serve_connection(stream: TcpStream, state: &ServerState) {
     }
 }
 
-/// Answers a request that could not be read with `status`, counts it
-/// under `route="other"` and logs a `warn` event; the caller then closes
-/// the connection.
-fn refuse(state: &ServerState, writer: &mut TcpStream, status: u16, reason: &str) {
+/// Answers a connection with `status` before closing it — a request that
+/// could not be read (4xx), or a connection that cannot be served (503) —
+/// counts it under `route="other"` and logs a `warn` event; the caller
+/// then closes the connection.
+fn refuse(state: &ServerState, mut writer: &TcpStream, status: u16, reason: &str) {
     state.metrics.observe(Route::Other, status, 0);
     mc3_obs::warn(
         "server",
@@ -833,10 +890,49 @@ mod tests {
     }
 
     #[test]
+    fn the_connection_bound_refuses_the_next_open_until_a_slot_drops() {
+        let connections = Connections::new(2);
+        let first = connections.open().expect("first of two");
+        let second = connections.open().expect("second of two");
+        assert!(connections.open().is_none(), "a third connection got in");
+        drop(first);
+        let third = connections.open().expect("a dropped slot frees its place");
+        assert!(connections.open().is_none());
+
+        // A connection thread that panics still frees its slot.
+        let caught = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+            let _slot = third;
+            panic!("connection died holding a slot");
+        }));
+        assert!(caught.is_err());
+        let fourth = connections
+            .open()
+            .expect("the panicking holder freed its slot");
+
+        // Waiting for every connection to close returns once the last
+        // slot drops on another thread.
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                connections.wait_closed();
+                tx.send(()).expect("receiver alive");
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(100)).is_err(),
+                "returned while two connections were open"
+            );
+            drop(second);
+            drop(fourth);
+            rx.recv_timeout(Duration::from_secs(10))
+                .expect("returns once the last connection closed");
+        });
+        connections.wait_closed();
+    }
+
+    #[test]
     fn a_panicking_handler_is_answered_500_and_counted() {
         let state = ServerState::new(&ServerConfig {
             addr: "127.0.0.1:0".to_owned(),
-            workers: 1,
             cache_mb: 0,
             solve_threads: 0,
         });

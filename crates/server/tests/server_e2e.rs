@@ -91,7 +91,6 @@ fn family_value(metrics: &str, name: &str) -> u64 {
 fn serving_plane_end_to_end() {
     let server = Server::start(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        workers: 3,
         cache_mb: 32,
         solve_threads: 0,
     })
@@ -119,7 +118,7 @@ fn serving_plane_end_to_end() {
     let (status, _) = request(addr, "POST", "/solve?algorithm=wat", Some(b"{}"));
     assert_eq!(status, 400);
     // a body nested far past the parser's depth bound is a plain 400, not
-    // a worker stack overflow, and the server keeps answering
+    // a thread stack overflow, and the server keeps answering
     let deep = "[".repeat(100_000);
     let (status, body) = request(addr, "POST", "/solve", Some(deep.as_bytes()));
     assert_eq!(status, 400, "deep /solve body: {body}");
@@ -345,7 +344,6 @@ fn serving_plane_end_to_end() {
     // --- a cache-less server: component spans nest under solve_core ---
     let server = Server::start(&ServerConfig {
         addr: "127.0.0.1:0".to_owned(),
-        workers: 2,
         cache_mb: 0,
         solve_threads: 0,
     })
