@@ -33,13 +33,13 @@
 //!    least one allocation-free instance (`min_instance_allocs == 0` in
 //!    the memprof attribution). Skipped when the tree under audit has
 //!    no such waivers.
-//! 7. **Bench baseline ↔ its own spans.** The checked-in
-//!    `BENCH_baseline.json` parses, and its report-level
-//!    `peak_live_bytes` equals its largest span root's
+//! 7. **Bench baselines ↔ their own spans.** Each checked-in baseline
+//!    (`BENCH_baseline.json`, `BENCH_bestbuy.json`) parses, and its
+//!    report-level `peak_live_bytes` equals its largest span root's
 //!    `mem.peak_live_bytes`, which is how a report derives it. The gate
 //!    does not compare that field, so a hand edit of the root figures
-//!    would otherwise leave it stale. Skipped when the tree has no
-//!    baseline.
+//!    would otherwise leave it stale. A baseline the tree lacks is
+//!    skipped.
 
 use crate::rules::{check_file, RULE_INFOS};
 use crate::{collect_files, load_allowlist};
@@ -169,7 +169,7 @@ pub fn check(root: &Path, tighten_budgets: bool) -> std::io::Result<ConsistencyR
     check_rules(root, &mut report);
     check_budgets(root, &sources, tighten_budgets, &mut report)?;
     check_waivers(&sources, &mut report);
-    check_baseline(root, &mut report);
+    check_baselines(root, &mut report);
 
     Ok(report)
 }
@@ -606,12 +606,18 @@ fn run_pinned_workload() -> Result<TelemetryReport, String> {
     }
 }
 
-/// The bench-gate baseline check 7 reads, relative to the workspace root.
-const BASELINE_FILE: &str = "BENCH_baseline.json";
+/// The bench-gate baselines check 7 reads, relative to the workspace root.
+const BASELINE_FILES: [&str; 2] = ["BENCH_baseline.json", "BENCH_bestbuy.json"];
 
-/// Check 7: the baseline's report-level peak is its largest root's peak.
-fn check_baseline(root: &Path, report: &mut ConsistencyReport) {
-    let Ok(text) = std::fs::read_to_string(root.join(BASELINE_FILE)) else {
+/// Check 7: each baseline's report-level peak is its largest root's peak.
+fn check_baselines(root: &Path, report: &mut ConsistencyReport) {
+    for file in BASELINE_FILES {
+        check_baseline(root, file, report);
+    }
+}
+
+fn check_baseline(root: &Path, file: &str, report: &mut ConsistencyReport) {
+    let Ok(text) = std::fs::read_to_string(root.join(file)) else {
         return;
     };
     report.checks_run += 1;
@@ -623,7 +629,7 @@ fn check_baseline(root: &Path, report: &mut ConsistencyReport) {
         Err(e) => {
             report.problems.push(Problem {
                 check: "baseline-parse",
-                subject: BASELINE_FILE.to_owned(),
+                subject: file.to_owned(),
                 detail: e,
             });
             return;
@@ -635,7 +641,7 @@ fn check_baseline(root: &Path, report: &mut ConsistencyReport) {
     if largest.unwrap_or(0) != recorded {
         report.problems.push(Problem {
             check: "baseline-peak",
-            subject: BASELINE_FILE.to_owned(),
+            subject: file.to_owned(),
             detail: format!(
                 "report-level peak_live_bytes is {recorded} but the largest span \
                  root's mem.peak_live_bytes is {}; set the report figure to the \
@@ -754,8 +760,12 @@ mod tests {
             .and_then(Path::parent)
             .expect("workspace root");
         let mut report = ConsistencyReport::default();
-        check_baseline(root, &mut report);
-        assert_eq!(report.checks_run, 1, "the real tree has a baseline");
+        check_baselines(root, &mut report);
+        assert_eq!(
+            report.checks_run,
+            BASELINE_FILES.len(),
+            "the real tree has every baseline"
+        );
         assert!(report.problems.is_empty(), "{}", report.render());
     }
 
@@ -765,29 +775,29 @@ mod tests {
         std::fs::create_dir_all(&root).expect("mkdir");
         let real = Path::new(env!("CARGO_MANIFEST_DIR"))
             .join("../..")
-            .join(BASELINE_FILE);
+            .join(BASELINE_FILES[0]);
         let text = std::fs::read_to_string(real).expect("read baseline");
         let json = mc3_core::json::parse(&text).expect("parse baseline");
         let mut baseline = mc3_obs::BaselineFile::from_json(&json).expect("baseline");
         baseline.report.peak_live_bytes += 1;
         let stale = baseline.to_json().to_string_pretty();
-        std::fs::write(root.join(BASELINE_FILE), stale).expect("write");
+        std::fs::write(root.join(BASELINE_FILES[0]), stale).expect("write");
         let mut report = ConsistencyReport::default();
-        check_baseline(&root, &mut report);
+        check_baselines(&root, &mut report);
         assert!(
             report.problems.iter().any(|p| p.check == "baseline-peak"),
             "{:?}",
             report.problems
         );
 
-        std::fs::write(root.join(BASELINE_FILE), "not json").expect("write");
+        std::fs::write(root.join(BASELINE_FILES[0]), "not json").expect("write");
         let mut report = ConsistencyReport::default();
-        check_baseline(&root, &mut report);
+        check_baselines(&root, &mut report);
         assert!(report.problems.iter().any(|p| p.check == "baseline-parse"));
 
         std::fs::remove_dir_all(&root).expect("cleanup");
         let mut report = ConsistencyReport::default();
-        check_baseline(&root, &mut report);
+        check_baselines(&root, &mut report);
         assert_eq!(report.checks_run, 0, "no baseline, nothing to check");
     }
 

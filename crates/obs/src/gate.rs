@@ -349,21 +349,21 @@ struct PathStats {
     alloc_bytes: u64,
 }
 
-fn flatten<'a>(prefix: &str, spans: &'a [SpanData], out: &mut BTreeMap<String, PathStats>) {
-    for s in spans {
-        let path = if prefix.is_empty() {
-            s.name.clone()
-        } else {
-            format!("{prefix}/{}", s.name)
-        };
-        flatten(&path, &s.children, out);
+/// Per-path figures of a span forest, keyed by the `/`-joined paths
+/// [`prom`](crate::prom) labels its span families with.
+fn flatten(spans: &[SpanData]) -> BTreeMap<String, PathStats> {
+    let mut flat = Vec::new();
+    crate::prom::walk_spans("", spans, &mut flat);
+    let mut out = BTreeMap::new();
+    for (path, s) in flat {
         // Same-path collisions cannot survive report aggregation, but be
         // safe under hand-built reports: sum.
-        let cell = out.entry(path).or_insert_with(PathStats::default);
+        let cell: &mut PathStats = out.entry(path).or_default();
         cell.wall_ns = cell.wall_ns.saturating_add(s.wall_ns);
         cell.allocs = cell.allocs.saturating_add(s.mem.allocs);
         cell.alloc_bytes = cell.alloc_bytes.saturating_add(s.mem.alloc_bytes);
     }
+    out
 }
 
 /// Compares `candidate` against `baseline` under `cfg`.
@@ -374,10 +374,8 @@ pub fn compare(
 ) -> GateOutcome {
     let mut violations = Vec::new();
 
-    let mut base_spans = BTreeMap::new();
-    flatten("", &baseline.spans, &mut base_spans);
-    let mut cand_spans = BTreeMap::new();
-    flatten("", &candidate.spans, &mut cand_spans);
+    let base_spans = flatten(&baseline.spans);
+    let cand_spans = flatten(&candidate.spans);
 
     let mut spans_checked = 0usize;
     for (path, base) in &base_spans {

@@ -35,7 +35,13 @@ fn escape_label(v: &str) -> String {
     out
 }
 
-fn walk_spans<'a>(prefix: &str, spans: &'a [SpanData], out: &mut Vec<(String, &'a SpanData)>) {
+/// Every span of a forest with its `/`-joined path, children before
+/// their parent; the span families and the bench gate key paths by it.
+pub(crate) fn walk_spans<'a>(
+    prefix: &str,
+    spans: &'a [SpanData],
+    out: &mut Vec<(String, &'a SpanData)>,
+) {
     for s in spans {
         let path = if prefix.is_empty() {
             s.name.clone()

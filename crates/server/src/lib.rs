@@ -63,9 +63,3 @@ pub struct LoadgenConfig {
     /// p99 latency SLO for `/solve`, milliseconds.
     pub slo_p99_ms: Option<u64>,
 }
-
-/// Starts a server and blocks forever (the `mc3 serve` entry point);
-/// returns only if the accept thread panics.
-pub fn serve_forever(cfg: &ServerConfig) -> Result<String, String> {
-    Server::start(cfg)?.join()
-}

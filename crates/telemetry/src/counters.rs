@@ -155,7 +155,7 @@ declare_hists! {
 /// buckets `1..=64` for `[2^(i-1), 2^i - 1]`.
 pub const HIST_BUCKETS: usize = 65;
 
-const N_COUNTERS: usize = COUNTER_NAMES.len();
+pub(crate) const N_COUNTERS: usize = COUNTER_NAMES.len();
 const N_HISTS: usize = HIST_NAMES.len();
 
 #[allow(clippy::declare_interior_mutable_const)]

@@ -9,9 +9,11 @@
 //! primitives and one hard rule:
 //!
 //! * **Spans** ([`span`], [`timed_span`]) — hierarchical wall-time
-//!   regions kept on a thread-local stack; every closed root merges by
-//!   name into one process-wide aggregate, so concurrent threads (the
-//!   server's requests) all file into one tree.
+//!   regions that fold into a per-thread call tree as they close; closing
+//!   a root merges that tree by path into one process-wide aggregate, so
+//!   concurrent threads (the server's requests) all file into one tree.
+//!   Span bookkeeping allocates only when a path first appears under a
+//!   root, never per instance.
 //! * **Counters** ([`Counter`], [`count`], [`span_add`]) — a closed
 //!   registry of monotonic `AtomicU64`s, summed across every thread
 //!   that records.
@@ -114,9 +116,6 @@ impl Session {
         let lock = SESSION.lock().unwrap_or_else(|p| p.into_inner());
         counters::reset();
         spans::aggregate().clear();
-        // Pre-grow this thread's span stack while the gate is still off,
-        // so deep span nesting never shows up as a tracked allocation.
-        spans::reserve_stack(64);
         ENABLED.store(true, Ordering::SeqCst);
         Session { _lock: lock }
     }

@@ -33,6 +33,7 @@
 //! and its `peak_live_bytes` are read off the aggregated roots, and an
 //! allocation made outside every span is counted nowhere.
 
+use crate::report::SpanMem;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
@@ -154,17 +155,6 @@ pub(crate) struct SpanMemState {
     prev_net_peak: i64,
 }
 
-/// Per-instance memory tally of one closed raw span (inclusive of
-/// children, like `wall_ns`).
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub(crate) struct RawSpanMem {
-    pub(crate) allocs: u64,
-    pub(crate) alloc_bytes: u64,
-    pub(crate) frees: u64,
-    pub(crate) free_bytes: u64,
-    pub(crate) peak_live_bytes: u64,
-}
-
 /// Snapshots this thread's totals for a span that just opened and starts
 /// a fresh net-live high-water mark for it.
 pub(crate) fn span_open() -> SpanMemState {
@@ -185,19 +175,22 @@ pub(crate) fn span_open() -> SpanMemState {
     })
 }
 
-/// Computes the memory delta for a closing span and restores the parent's
-/// running net-live peak (with `max`, so child spikes surface upward).
-pub(crate) fn span_close(state: &SpanMemState) -> RawSpanMem {
+/// Computes the memory tally of a closing span instance (inclusive of
+/// children, like `wall_ns`) and restores the parent's running net-live
+/// peak (with `max`, so child spikes surface upward).
+pub(crate) fn span_close(state: &SpanMemState) -> SpanMem {
     MEM.with(|m| {
         let net_peak_now = m.net_peak.get();
         m.net_peak.set(state.prev_net_peak.max(net_peak_now));
         let peak = net_peak_now.saturating_sub(state.net_at_open);
-        RawSpanMem {
-            allocs: m.allocs.get().wrapping_sub(state.snap.allocs),
+        let allocs = m.allocs.get().wrapping_sub(state.snap.allocs);
+        SpanMem {
+            allocs,
             alloc_bytes: m.alloc_bytes.get().wrapping_sub(state.snap.alloc_bytes),
             frees: m.frees.get().wrapping_sub(state.snap.frees),
             free_bytes: m.free_bytes.get().wrapping_sub(state.snap.free_bytes),
             peak_live_bytes: if peak > 0 { peak as u64 } else { 0 },
+            min_instance_allocs: allocs,
         }
     })
 }
@@ -274,7 +267,7 @@ mod tests {
     fn span_state_round_trip_is_zero_without_allocations() {
         let state = span_open();
         let mem = span_close(&state);
-        assert_eq!(mem, RawSpanMem::default());
+        assert_eq!(mem, SpanMem::default());
     }
 
     #[test]
@@ -288,7 +281,7 @@ mod tests {
         let after = span_open();
         assert_eq!(after.snap, before.snap);
         assert_eq!(after.net_at_open, before.net_at_open);
-        assert_eq!(span_close(&after), RawSpanMem::default());
-        assert_eq!(span_close(&before), RawSpanMem::default());
+        assert_eq!(span_close(&after), SpanMem::default());
+        assert_eq!(span_close(&before), SpanMem::default());
     }
 }

@@ -1,17 +1,18 @@
 //! Aggregated telemetry snapshots: JSON export and the flame-style dump.
 //!
 //! A [`TelemetryReport`] is what [`Session::finish`](crate::Session::finish)
-//! and [`live_report`](crate::live_report) return: same-name sibling spans
-//! merged (wall times and counters summed, instance counts kept) by the
-//! one merge every closed root goes through, [`merge_into`], every
-//! registered counter — zeros included — and every registered histogram. The JSON schema is
+//! and [`live_report`](crate::live_report) return: every closed root's
+//! call tree merged by span path (wall times and counters summed, instance
+//! counts kept) by the one merge every closed root goes through,
+//! [`merge_into`], every registered counter — zeros included — and every
+//! registered histogram. The JSON schema is
 //! versioned and strict: [`TelemetryReport::from_json`] rejects a report
 //! that is missing any *registered* counter or histogram name, which is
 //! the schema-drift guard CI leans on (see `docs/observability.md`).
 
 use crate::counters::{self, Counter, Hist, COUNTER_NAMES, HIST_NAMES};
 use crate::memprof;
-use crate::spans::RawSpan;
+use crate::spans::Node;
 use mc3_core::json::Json;
 use mc3_core::u32_of;
 use std::collections::BTreeMap;
@@ -39,11 +40,34 @@ pub struct SpanMem {
     pub peak_live_bytes: u64,
     /// Minimum allocation count over merged instances — the steady-state
     /// signal: a kernel whose warm instances are allocation-free reads 0
-    /// here even when its first instance grew buffers. (`u64::MAX` marks
-    /// a node with no closed instance yet — `count` 0, its span still
-    /// open while roots filed under it closed. A finished session never
-    /// reports one; a [`live_report`](crate::live_report) can.)
+    /// here even when its first instance grew buffers. Every aggregated
+    /// node holds at least one closed instance (`count ≥ 1`), so this is
+    /// always one real instance's count.
     pub min_instance_allocs: u64,
+}
+
+impl SpanMem {
+    /// The identity of [`fold`](Self::fold): no instance yet.
+    pub(crate) const EMPTY: SpanMem = SpanMem {
+        allocs: 0,
+        alloc_bytes: 0,
+        frees: 0,
+        free_bytes: 0,
+        peak_live_bytes: 0,
+        min_instance_allocs: u64::MAX,
+    };
+
+    /// Folds `other` (one instance, or a node of many) into `self`:
+    /// counts and bytes sum, the peak takes the max and the steady-state
+    /// `min_instance_allocs` the min.
+    pub(crate) fn fold(&mut self, other: &SpanMem) {
+        self.allocs = self.allocs.saturating_add(other.allocs);
+        self.alloc_bytes = self.alloc_bytes.saturating_add(other.alloc_bytes);
+        self.frees = self.frees.saturating_add(other.frees);
+        self.free_bytes = self.free_bytes.saturating_add(other.free_bytes);
+        self.peak_live_bytes = self.peak_live_bytes.max(other.peak_live_bytes);
+        self.min_instance_allocs = self.min_instance_allocs.min(other.min_instance_allocs);
+    }
 }
 
 /// One aggregated span node: all same-name siblings merged.
@@ -121,12 +145,7 @@ fn slot<'a>(siblings: &'a mut Vec<SpanData>, name: &str) -> Option<&'a mut SpanD
         None => {
             siblings.push(SpanData {
                 name: name.to_owned(),
-                mem: SpanMem {
-                    // Identity for the `min` fold below; overwritten by
-                    // the first merged instance.
-                    min_instance_allocs: u64::MAX,
-                    ..SpanMem::default()
-                },
+                mem: SpanMem::EMPTY,
                 ..SpanData::default()
             });
             siblings.last_mut()
@@ -134,18 +153,26 @@ fn slot<'a>(siblings: &'a mut Vec<SpanData>, name: &str) -> Option<&'a mut SpanD
     }
 }
 
-/// Merges one closed raw span into `siblings`: wall times, counts,
-/// counters and memory tallies sum, per-instance peaks take the max, and
-/// the steady-state `min_instance_allocs` takes the min. This is the one
-/// merge every closed root goes through. It borrows `raw`, so a caller
-/// holding a lock can free the raw tree after releasing it.
-pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, raw: &RawSpan) {
-    let Some(slot) = slot(siblings, raw.name) else {
+/// Merges the call-tree sibling chain starting at node `link` of `tree`
+/// into `siblings`, by name and recursively: wall times, counts and
+/// counters sum, and memory tallies go through [`SpanMem::fold`]. This is
+/// the one merge every closed root goes through. A chain runs newest
+/// sibling first, so its tail merges before its head and the report
+/// keeps first-seen order.
+pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, tree: &[Node], link: u32) {
+    let Some(node) = tree.get(link as usize) else {
         return;
     };
-    slot.wall_ns = slot.wall_ns.saturating_add(raw.wall_ns);
-    slot.count += 1;
-    for &(name, v) in &raw.counters {
+    merge_into(siblings, tree, node.next_sibling);
+    let Some(slot) = slot(siblings, node.name) else {
+        return;
+    };
+    slot.wall_ns = slot.wall_ns.saturating_add(node.wall_ns);
+    slot.count += node.count;
+    for (i, (&name, &v)) in COUNTER_NAMES.iter().zip(&node.counters).enumerate() {
+        if node.touched & (1 << i) == 0 {
+            continue;
+        }
         match slot.counters.get_mut(name) {
             Some(cell) => *cell = cell.saturating_add(v),
             None => {
@@ -153,15 +180,8 @@ pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, raw: &RawSpan) {
             }
         }
     }
-    slot.mem.allocs = slot.mem.allocs.saturating_add(raw.mem.allocs);
-    slot.mem.alloc_bytes = slot.mem.alloc_bytes.saturating_add(raw.mem.alloc_bytes);
-    slot.mem.frees = slot.mem.frees.saturating_add(raw.mem.frees);
-    slot.mem.free_bytes = slot.mem.free_bytes.saturating_add(raw.mem.free_bytes);
-    slot.mem.peak_live_bytes = slot.mem.peak_live_bytes.max(raw.mem.peak_live_bytes);
-    slot.mem.min_instance_allocs = slot.mem.min_instance_allocs.min(raw.mem.allocs);
-    for child in &raw.children {
-        merge_into(&mut slot.children, child);
-    }
+    slot.mem.fold(&node.mem);
+    merge_into(&mut slot.children, tree, node.first_child);
 }
 
 /// A report of `spans` and the current registry totals; the live-byte
@@ -194,6 +214,49 @@ pub(crate) fn assemble(spans: Vec<SpanData>) -> TelemetryReport {
     }
 }
 
+/// `v[key]` as a `u64`; the error names `owner` (`report`, `span 'x'`, …).
+fn u64_field(v: &Json, key: &str, owner: &str) -> Result<u64, String> {
+    v.get(key)
+        .and_then(Json::as_u64)
+        .ok_or_else(|| format!("{owner} missing u64 '{key}'"))
+}
+
+/// `v[key]` as an array, each item parsed by `item`.
+fn array_field<T>(
+    v: &Json,
+    key: &str,
+    owner: &str,
+    item: impl FnMut(&Json) -> Result<T, String>,
+) -> Result<Vec<T>, String> {
+    match v.get(key) {
+        Some(Json::Array(items)) => items.iter().map(item).collect(),
+        _ => Err(format!("{owner} missing array '{key}'")),
+    }
+}
+
+fn counters_to_json(counters: &BTreeMap<String, u64>) -> Json {
+    Json::Object(
+        counters
+            .iter()
+            .map(|(k, &v)| (k.clone(), Json::Int(v as i128)))
+            .collect(),
+    )
+}
+
+/// `v["counters"]`: wire name → total.
+fn counters_field(v: &Json, owner: &str) -> Result<BTreeMap<String, u64>, String> {
+    let Some(Json::Object(map)) = v.get("counters") else {
+        return Err(format!("{owner} missing object 'counters'"));
+    };
+    map.iter()
+        .map(|(k, val)| {
+            val.as_u64()
+                .map(|n| (k.clone(), n))
+                .ok_or_else(|| format!("{owner} counter '{k}' is not a u64"))
+        })
+        .collect()
+}
+
 fn mem_to_json(m: &SpanMem) -> Json {
     Json::object([
         ("allocs", Json::Int(m.allocs as i128)),
@@ -208,12 +271,13 @@ fn mem_to_json(m: &SpanMem) -> Json {
     ])
 }
 
-fn mem_from_json(name: &str, v: &Json) -> Result<SpanMem, String> {
-    let field = |key: &str| {
-        v.get(key)
-            .and_then(Json::as_u64)
-            .ok_or_else(|| format!("span '{name}' mem missing u64 '{key}'"))
+/// `v["mem"]` of the span `owner` names.
+fn mem_field(v: &Json, owner: &str) -> Result<SpanMem, String> {
+    let Some(m @ Json::Object(_)) = v.get("mem") else {
+        return Err(format!("{owner} missing object 'mem'"));
     };
+    let owner = format!("{owner} mem");
+    let field = |key: &str| u64_field(m, key, &owner);
     Ok(SpanMem {
         allocs: field("allocs")?,
         alloc_bytes: field("alloc_bytes")?,
@@ -229,15 +293,7 @@ fn span_to_json(s: &SpanData) -> Json {
         ("name", Json::Str(s.name.clone())),
         ("wall_ns", Json::Int(s.wall_ns as i128)),
         ("count", Json::Int(s.count as i128)),
-        (
-            "counters",
-            Json::Object(
-                s.counters
-                    .iter()
-                    .map(|(k, &v)| (k.clone(), Json::Int(v as i128)))
-                    .collect(),
-            ),
-        ),
+        ("counters", counters_to_json(&s.counters)),
         ("mem", mem_to_json(&s.mem)),
         (
             "children",
@@ -252,46 +308,14 @@ fn span_from_json(v: &Json) -> Result<SpanData, String> {
         .and_then(Json::as_str)
         .ok_or("span missing string 'name'")?
         .to_owned();
-    let wall_ns = v
-        .get("wall_ns")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("span '{name}' missing u64 'wall_ns'"))?;
-    let count = v
-        .get("count")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("span '{name}' missing u64 'count'"))?;
-    let mut counters = BTreeMap::new();
-    match v.get("counters") {
-        Some(Json::Object(map)) => {
-            for (k, val) in map {
-                let n = val
-                    .as_u64()
-                    .ok_or_else(|| format!("span '{name}' counter '{k}' is not a u64"))?;
-                counters.insert(k.clone(), n);
-            }
-        }
-        _ => return Err(format!("span '{name}' missing object 'counters'")),
-    }
-    let mem = match v.get("mem") {
-        Some(obj @ Json::Object(_)) => mem_from_json(&name, obj)?,
-        _ => return Err(format!("span '{name}' missing object 'mem'")),
-    };
-    let mut children = Vec::new();
-    match v.get("children") {
-        Some(Json::Array(items)) => {
-            for item in items {
-                children.push(span_from_json(item)?);
-            }
-        }
-        _ => return Err(format!("span '{name}' missing array 'children'")),
-    }
+    let owner = format!("span '{name}'");
     Ok(SpanData {
+        wall_ns: u64_field(v, "wall_ns", &owner)?,
+        count: u64_field(v, "count", &owner)?,
+        counters: counters_field(v, &owner)?,
+        mem: mem_field(v, &owner)?,
+        children: array_field(v, "children", &owner, span_from_json)?,
         name,
-        wall_ns,
-        count,
-        counters,
-        mem,
-        children,
     })
 }
 
@@ -318,41 +342,28 @@ fn hist_from_json(v: &Json) -> Result<HistogramData, String> {
         .and_then(Json::as_str)
         .ok_or("histogram missing string 'name'")?
         .to_owned();
-    let count = v
-        .get("count")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("histogram '{name}' missing u64 'count'"))?;
-    let sum = v
-        .get("sum")
-        .and_then(Json::as_u64)
-        .ok_or_else(|| format!("histogram '{name}' missing u64 'sum'"))?;
-    let mut buckets = Vec::new();
-    match v.get("buckets") {
-        Some(Json::Array(items)) => {
-            for item in items {
-                let pair = item
-                    .as_array()
-                    .filter(|p| p.len() == 2)
-                    .ok_or_else(|| format!("histogram '{name}' bucket is not a pair"))?;
-                let idx = pair
-                    .first()
-                    .and_then(Json::as_u64)
-                    .filter(|&i| i < counters::HIST_BUCKETS as u64)
-                    .ok_or_else(|| format!("histogram '{name}' bucket index invalid"))?;
-                let c = pair
-                    .get(1)
-                    .and_then(Json::as_u64)
-                    .ok_or_else(|| format!("histogram '{name}' bucket count invalid"))?;
-                buckets.push((u32_of(idx), c));
-            }
-        }
-        _ => return Err(format!("histogram '{name}' missing array 'buckets'")),
-    }
+    let owner = format!("histogram '{name}'");
+    let bucket = |item: &Json| {
+        let pair = item
+            .as_array()
+            .filter(|p| p.len() == 2)
+            .ok_or_else(|| format!("{owner} bucket is not a pair"))?;
+        let idx = pair
+            .first()
+            .and_then(Json::as_u64)
+            .filter(|&i| i < counters::HIST_BUCKETS as u64)
+            .ok_or_else(|| format!("{owner} bucket index invalid"))?;
+        let c = pair
+            .get(1)
+            .and_then(Json::as_u64)
+            .ok_or_else(|| format!("{owner} bucket count invalid"))?;
+        Ok((u32_of(idx), c))
+    };
     Ok(HistogramData {
+        count: u64_field(v, "count", &owner)?,
+        sum: u64_field(v, "sum", &owner)?,
+        buckets: array_field(v, "buckets", &owner, bucket)?,
         name,
-        count,
-        sum,
-        buckets,
     })
 }
 
@@ -382,43 +393,46 @@ fn fmt_bytes(b: u64) -> String {
     }
 }
 
-/// Memory-axis sibling of [`render_node`]: one line per span with bytes
-/// allocated, allocation/free counts and the per-span live peak; the
-/// percentage is the share of the parent's allocated bytes.
-fn render_mem_node(
+/// ` 12.5%`: `part`'s share of its parent's `whole`; empty for a root or
+/// an empty parent.
+fn share(part: u64, whole: Option<u64>) -> String {
+    match whole {
+        Some(w) if w > 0 => format!(" {:5.1}%", 100.0 * part as f64 / w as f64),
+        _ => String::new(),
+    }
+}
+
+/// ` ×n` for a node merged from more than one instance.
+fn times(count: u64) -> String {
+    if count > 1 {
+        format!(" ×{count}")
+    } else {
+        String::new()
+    }
+}
+
+/// The one flame-tree walk: one line per span, its tree prefix and
+/// connector, its name, then `text(node, parent)`. `last`: `None` for a
+/// root (no connector), else whether this node is its parent's last child.
+fn render_tree(
     out: &mut String,
     node: &SpanData,
+    parent: Option<&SpanData>,
     prefix: &str,
     last: Option<bool>,
-    parent_bytes: Option<u64>,
+    text: &dyn Fn(&SpanData, Option<&SpanData>) -> String,
 ) {
     let connector = match last {
         None => "",
         Some(true) => "└─ ",
         Some(false) => "├─ ",
     };
-    let pct = match parent_bytes {
-        Some(p) if p > 0 => format!(" {:5.1}%", 100.0 * node.mem.alloc_bytes as f64 / p as f64),
-        _ => String::new(),
-    };
-    let times = if node.count > 1 {
-        format!(" ×{}", node.count)
-    } else {
-        String::new()
-    };
-    let mut line = format!(
-        "{prefix}{connector}{} {}{pct}{times}  [allocs={} frees={} peak={}",
+    let _ = writeln!(
+        out,
+        "{prefix}{connector}{} {}",
         node.name,
-        fmt_bytes(node.mem.alloc_bytes),
-        node.mem.allocs,
-        node.mem.frees,
-        fmt_bytes(node.mem.peak_live_bytes),
+        text(node, parent)
     );
-    if node.count > 1 {
-        let _ = write!(line, " min/inst={}", node.mem.min_instance_allocs);
-    }
-    line.push(']');
-    let _ = writeln!(out, "{line}");
     let child_prefix = match last {
         None => String::new(),
         Some(true) => format!("{prefix}   "),
@@ -426,43 +440,25 @@ fn render_mem_node(
     };
     let n = node.children.len();
     for (i, child) in node.children.iter().enumerate() {
-        render_mem_node(
+        render_tree(
             out,
             child,
+            Some(node),
             &child_prefix,
             Some(i + 1 == n),
-            Some(node.mem.alloc_bytes),
+            text,
         );
     }
 }
 
-/// `last`: `None` for a root (no connector), else whether this node is
-/// its parent's last child.
-fn render_node(
-    out: &mut String,
-    node: &SpanData,
-    prefix: &str,
-    last: Option<bool>,
-    parent_ns: Option<u64>,
-) {
-    let connector = match last {
-        None => "",
-        Some(true) => "└─ ",
-        Some(false) => "├─ ",
-    };
-    let pct = match parent_ns {
-        Some(p) if p > 0 => format!(" {:5.1}%", 100.0 * node.wall_ns as f64 / p as f64),
-        _ => String::new(),
-    };
-    let times = if node.count > 1 {
-        format!(" ×{}", node.count)
-    } else {
-        String::new()
-    };
+/// Wall-time line text: the time, its share of the parent's and the
+/// attributed counters.
+fn wall_text(node: &SpanData, parent: Option<&SpanData>) -> String {
     let mut line = format!(
-        "{prefix}{connector}{} {}{pct}{times}",
-        node.name,
-        fmt_ns(node.wall_ns)
+        "{}{}{}",
+        fmt_ns(node.wall_ns),
+        share(node.wall_ns, parent.map(|p| p.wall_ns)),
+        times(node.count)
     );
     if !node.counters.is_empty() {
         let inline: Vec<String> = node
@@ -472,22 +468,26 @@ fn render_node(
             .collect();
         let _ = write!(line, "  [{}]", inline.join(" "));
     }
-    let _ = writeln!(out, "{line}");
-    let child_prefix = match last {
-        None => String::new(),
-        Some(true) => format!("{prefix}   "),
-        Some(false) => format!("{prefix}│  "),
-    };
-    let n = node.children.len();
-    for (i, child) in node.children.iter().enumerate() {
-        render_node(
-            out,
-            child,
-            &child_prefix,
-            Some(i + 1 == n),
-            Some(node.wall_ns),
-        );
+    line
+}
+
+/// Memory-axis line text: bytes allocated and their share of the
+/// parent's, allocation/free counts and the per-span live peak.
+fn mem_text(node: &SpanData, parent: Option<&SpanData>) -> String {
+    let mut line = format!(
+        "{}{}{}  [allocs={} frees={} peak={}",
+        fmt_bytes(node.mem.alloc_bytes),
+        share(node.mem.alloc_bytes, parent.map(|p| p.mem.alloc_bytes)),
+        times(node.count),
+        node.mem.allocs,
+        node.mem.frees,
+        fmt_bytes(node.mem.peak_live_bytes),
+    );
+    if node.count > 1 {
+        let _ = write!(line, " min/inst={}", node.mem.min_instance_allocs);
     }
+    line.push(']');
+    line
 }
 
 impl TelemetryReport {
@@ -499,15 +499,7 @@ impl TelemetryReport {
                 "spans",
                 Json::Array(self.spans.iter().map(span_to_json).collect()),
             ),
-            (
-                "counters",
-                Json::Object(
-                    self.counters
-                        .iter()
-                        .map(|(k, &v)| (k.clone(), Json::Int(v as i128)))
-                        .collect(),
-                ),
-            ),
+            ("counters", counters_to_json(&self.counters)),
             (
                 "histograms",
                 Json::Array(self.histograms.iter().map(hist_to_json).collect()),
@@ -522,36 +514,14 @@ impl TelemetryReport {
     /// histogram name is absent — absence means the emitting binary and
     /// this binary disagree about the registry (schema drift).
     pub fn from_json(v: &Json) -> Result<TelemetryReport, String> {
-        let version = v
-            .get("version")
-            .and_then(Json::as_u64)
-            .ok_or("report missing u64 'version'")?;
+        let version = u64_field(v, "version", "report")?;
         if version != REPORT_VERSION {
             return Err(format!(
                 "unsupported telemetry report version {version} (expected {REPORT_VERSION})"
             ));
         }
-        let mut spans = Vec::new();
-        match v.get("spans") {
-            Some(Json::Array(items)) => {
-                for item in items {
-                    spans.push(span_from_json(item)?);
-                }
-            }
-            _ => return Err("report missing array 'spans'".to_owned()),
-        }
-        let mut counters = BTreeMap::new();
-        match v.get("counters") {
-            Some(Json::Object(map)) => {
-                for (k, val) in map {
-                    let n = val
-                        .as_u64()
-                        .ok_or_else(|| format!("counter '{k}' is not a u64"))?;
-                    counters.insert(k.clone(), n);
-                }
-            }
-            _ => return Err("report missing object 'counters'".to_owned()),
-        }
+        let spans = array_field(v, "spans", "report", span_from_json)?;
+        let counters = counters_field(v, "report")?;
         for name in COUNTER_NAMES {
             if !counters.contains_key(*name) {
                 return Err(format!(
@@ -559,15 +529,7 @@ impl TelemetryReport {
                 ));
             }
         }
-        let mut histograms = Vec::new();
-        match v.get("histograms") {
-            Some(Json::Array(items)) => {
-                for item in items {
-                    histograms.push(hist_from_json(item)?);
-                }
-            }
-            _ => return Err("report missing array 'histograms'".to_owned()),
-        }
+        let histograms = array_field(v, "histograms", "report", hist_from_json)?;
         for name in HIST_NAMES {
             if !histograms.iter().any(|h| h.name == *name) {
                 return Err(format!(
@@ -575,10 +537,7 @@ impl TelemetryReport {
                 ));
             }
         }
-        let peak_live_bytes = v
-            .get("peak_live_bytes")
-            .and_then(Json::as_u64)
-            .ok_or("report missing u64 'peak_live_bytes'")?;
+        let peak_live_bytes = u64_field(v, "peak_live_bytes", "report")?;
         // Strict about presence, permissive about measurement: the key
         // must exist (schema drift guard) but `null` means "not measured"
         // on platforms without a readable RSS high-water mark.
@@ -611,6 +570,18 @@ impl TelemetryReport {
         v
     }
 
+    /// Every root's flame tree, with `text` as each line's body.
+    fn render_spans(&self, text: &dyn Fn(&SpanData, Option<&SpanData>) -> String) -> String {
+        let mut out = String::new();
+        if self.spans.is_empty() {
+            let _ = writeln!(out, "(no spans recorded)");
+        }
+        for root in &self.spans {
+            render_tree(&mut out, root, None, "", None, text);
+        }
+        out
+    }
+
     /// Flame-style tree dump plus top counters and histograms — the body
     /// of `mc3 profile` and `mc3 solve --trace` output.
     pub fn render(&self) -> String {
@@ -620,13 +591,7 @@ impl TelemetryReport {
     /// [`render`](Self::render) with the counter listing truncated to the
     /// `limit` largest entries (`mc3 profile --top N`).
     pub fn render_top(&self, limit: usize) -> String {
-        let mut out = String::new();
-        if self.spans.is_empty() {
-            let _ = writeln!(out, "(no spans recorded)");
-        }
-        for root in &self.spans {
-            render_node(&mut out, root, "", None, None);
-        }
+        let mut out = self.render_spans(&wall_text);
         let mut top = self.top_counters();
         let omitted = top.len().saturating_sub(limit);
         top.truncate(limit);
@@ -666,13 +631,7 @@ impl TelemetryReport {
     /// and allocation counts per span, their sum over the roots, the
     /// largest root's live-bytes peak and the process RSS high-water mark.
     pub fn render_mem(&self) -> String {
-        let mut out = String::new();
-        if self.spans.is_empty() {
-            let _ = writeln!(out, "(no spans recorded)");
-        }
-        for root in &self.spans {
-            render_mem_node(&mut out, root, "", None, None);
-        }
+        let mut out = self.render_spans(&mem_text);
         let allocs: u64 = self.spans.iter().map(|s| s.mem.allocs).sum();
         let bytes: u64 = self.spans.iter().map(|s| s.mem.alloc_bytes).sum();
         let _ = writeln!(out, "\ntotal: {} in {allocs} allocations", fmt_bytes(bytes));
@@ -697,33 +656,52 @@ impl TelemetryReport {
 mod tests {
     use super::*;
 
-    fn raw(name: &'static str, wall: u64, children: Vec<RawSpan>) -> RawSpan {
-        RawSpan {
-            name,
-            wall_ns: wall,
-            counters: vec![("dinic_phases", 2)],
-            children,
-            mem: crate::memprof::RawSpanMem {
+    /// One closed instance of `name` under `parent` in a call tree
+    /// (`None`: the root, node 0), with figures derived from `wall`;
+    /// returns its node.
+    fn instance(tree: &mut Vec<Node>, parent: Option<u32>, name: &'static str, wall: u64) -> u32 {
+        let i = match parent {
+            Some(p) => crate::spans::find_or_add(tree, p, name),
+            None => open_root(tree, name),
+        };
+        let node = &mut tree[i as usize];
+        node.add(Counter::DinicPhases, 2);
+        node.close_instance(
+            wall,
+            &SpanMem {
                 allocs: wall / 10,
                 alloc_bytes: wall,
                 frees: wall / 20,
                 free_bytes: wall / 2,
                 peak_live_bytes: wall / 2,
+                min_instance_allocs: wall / 10,
             },
+        );
+        i
+    }
+
+    /// The root node of `tree`, added first when the tree is empty.
+    fn open_root(tree: &mut Vec<Node>, name: &'static str) -> u32 {
+        if tree.is_empty() {
+            tree.push(Node::new(name));
         }
+        0
+    }
+
+    /// A closed root `name` with one closed child, as one call tree.
+    fn root(name: &'static str, wall: u64, child: (&'static str, u64)) -> Vec<Node> {
+        let mut tree = Vec::new();
+        let r = open_root(&mut tree, name);
+        instance(&mut tree, Some(r), child.0, child.1);
+        instance(&mut tree, None, name, wall);
+        tree
     }
 
     #[test]
     fn aggregation_merges_same_name_siblings() {
         let mut roots = Vec::new();
-        merge_into(
-            &mut roots,
-            &raw("solve", 100, vec![raw("k2.solve", 40, vec![])]),
-        );
-        merge_into(
-            &mut roots,
-            &raw("solve", 50, vec![raw("k2.solve", 10, vec![])]),
-        );
+        merge_into(&mut roots, &root("solve", 100, ("k2.solve", 40)), 0);
+        merge_into(&mut roots, &root("solve", 50, ("k2.solve", 10)), 0);
         assert_eq!(roots.len(), 1);
         assert_eq!(roots[0].wall_ns, 150);
         assert_eq!(roots[0].count, 2);
@@ -741,12 +719,45 @@ mod tests {
         assert_eq!(roots[0].children[0].mem.min_instance_allocs, 1);
     }
 
+    #[test]
+    fn call_tree_folds_instances_per_path_in_first_seen_order() {
+        // solve ─┬─ a ── x   (two instances of a, one x under each)
+        //        └─ b
+        let mut tree = Vec::new();
+        let solve = open_root(&mut tree, "solve");
+        for _ in 0..2 {
+            let a = crate::spans::find_or_add(&mut tree, solve, "a");
+            instance(&mut tree, Some(a), "x", 10);
+            instance(&mut tree, Some(solve), "a", 30);
+        }
+        instance(&mut tree, Some(solve), "b", 20);
+        instance(&mut tree, None, "solve", 100);
+        assert_eq!(tree.len(), 4, "one node per path, not per instance");
+        let mut roots = Vec::new();
+        merge_into(&mut roots, &tree, 0);
+        let names: Vec<&str> = roots[0].children.iter().map(|c| c.name.as_str()).collect();
+        assert_eq!(names, ["a", "b"]);
+        assert_eq!(roots[0].children[0].count, 2);
+        assert_eq!(roots[0].children[0].counters["dinic_phases"], 4);
+        assert_eq!(roots[0].children[0].children[0].count, 2);
+        assert_eq!(roots[0].children[0].children[0].wall_ns, 20);
+    }
+
+    #[test]
+    fn a_zero_increment_still_names_its_counter() {
+        let mut tree = Vec::new();
+        let r = open_root(&mut tree, "solve");
+        tree[r as usize].add(Counter::LpPivots, 0);
+        tree[r as usize].close_instance(1, &SpanMem::default());
+        let mut roots = Vec::new();
+        merge_into(&mut roots, &tree, 0);
+        assert_eq!(roots[0].counters.get("lp_pivots"), Some(&0));
+        assert_eq!(roots[0].counters.len(), 1);
+    }
+
     fn sample_report() -> TelemetryReport {
         let mut roots = Vec::new();
-        merge_into(
-            &mut roots,
-            &raw("solve", 1_500_000, vec![raw("setup", 200_000, vec![])]),
-        );
+        merge_into(&mut roots, &root("solve", 1_500_000, ("setup", 200_000)), 0);
         TelemetryReport {
             spans: roots,
             counters: COUNTER_NAMES
@@ -886,11 +897,10 @@ mod tests {
     #[test]
     fn assembled_peak_is_the_largest_root_peak() {
         let mut roots = Vec::new();
-        merge_into(
-            &mut roots,
-            &raw("a", 100, vec![raw("a.big", 90_000, vec![])]),
-        );
-        merge_into(&mut roots, &raw("b", 3_000, vec![]));
+        merge_into(&mut roots, &root("a", 100, ("a.big", 90_000)), 0);
+        let mut b = Vec::new();
+        instance(&mut b, None, "b", 3_000);
+        merge_into(&mut roots, &b, 0);
         // Only top-level nodes are read: a real child's peak already
         // surfaces in its root's.
         assert_eq!(assemble(roots).peak_live_bytes, 1_500);

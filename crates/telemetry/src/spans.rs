@@ -1,52 +1,137 @@
 //! The hierarchical span collector and the one place closed spans go.
 //!
-//! Each thread keeps a stack of open spans in a thread-local; closing a
-//! span folds it into its parent's child list, and closing a span with no
-//! parent (a per-thread root) merges the finished subtree into the
-//! process-wide aggregate, by name, under one lock. That aggregate is the
-//! only destination of a closed root:
+//! Each thread keeps one call tree: a flat arena of nodes keyed by
+//! (parent node, name), plus a stack of open frames. Opening a span finds
+//! or adds its node and pushes a frame; closing it folds the instance's
+//! wall time, count and memory tally into that node, and [`span_add`]
+//! adds counter increments straight into the innermost open node. So a
+//! span tree exists in one form from open to report: closing a span with
+//! no parent (a per-thread root) merges the thread's tree into the
+//! process-wide aggregate, by path, under one lock, and empties the tree
+//! for the next root, keeping its capacity. That aggregate is the only
+//! destination of a closed root:
 //! [`Session::begin`](crate::Session::begin) clears it,
 //! [`Session::finish`](crate::Session::finish) takes it, and
 //! [`live_report`](crate::live_report) copies it while a long-lived
 //! session keeps recording (the server's `/metrics`).
 //!
+//! Span bookkeeping allocates only when a path first appears under a
+//! root, never per instance: the arena and the frame stack keep their
+//! capacity from root to root, and opening a root reserves room for
+//! `ROOT_RESERVE` of each, so a typical tree never grows inside a root.
+//! Growth that does happen is charged to the parent span, so a leaf
+//! span's tally holds only its own work.
+//!
 //! When no session is recording, [`span`] returns an inactive guard
 //! without touching the thread-local at all — the disabled path is one
 //! relaxed atomic load.
 
-use crate::counters::Counter;
-use crate::memprof::{self, RawSpanMem, SpanMemState};
-use crate::report::{self, SpanData};
+use crate::counters::{Counter, N_COUNTERS};
+use crate::memprof::{self, SpanMemState};
+use crate::report::{self, SpanData, SpanMem};
+use mc3_core::u32_of;
 use std::cell::RefCell;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-/// A closed span subtree as recorded on one thread, before aggregation.
-#[derive(Debug, Clone)]
-pub(crate) struct RawSpan {
+/// No node: the end of a sibling chain, or a leaf's missing first child.
+pub(crate) const NIL: u32 = u32::MAX;
+
+// `Node::touched` has one bit per registered counter.
+const _: () = assert!(N_COUNTERS <= 64);
+
+/// Nodes and frames reserved when a root opens (a no-op once the arena
+/// has that capacity), so a typical tree never grows inside a root.
+const ROOT_RESERVE: usize = 64;
+
+/// One call-tree node: every instance of one span path under the open
+/// root, folded as it closes.
+pub(crate) struct Node {
     pub(crate) name: &'static str,
+    /// First child and next sibling, as arena indices ([`NIL`] for none).
+    pub(crate) first_child: u32,
+    pub(crate) next_sibling: u32,
     pub(crate) wall_ns: u64,
-    pub(crate) counters: Vec<(&'static str, u64)>,
-    pub(crate) children: Vec<RawSpan>,
-    pub(crate) mem: RawSpanMem,
+    pub(crate) count: u64,
+    /// Counter increments, indexed by `Counter as usize`.
+    pub(crate) counters: [u64; N_COUNTERS],
+    /// Bit `i` is set once [`span_add`] reached counter `i` here, so a
+    /// zero increment still names its counter in the report.
+    pub(crate) touched: u64,
+    pub(crate) mem: SpanMem,
 }
 
-/// Upper bound on distinct counters any single span attributes (the
-/// busiest spans today attach ≤ 4). Pre-reserving this many slots when a
-/// span opens keeps [`span_add`]'s find-or-push allocation-free, which is
-/// what lets the zero-steady-state kernel spans record exactly 0 allocs.
-const SPAN_COUNTER_CAPACITY: usize = 8;
+impl Node {
+    pub(crate) fn new(name: &'static str) -> Node {
+        Node {
+            name,
+            first_child: NIL,
+            next_sibling: NIL,
+            wall_ns: 0,
+            count: 0,
+            counters: [0; N_COUNTERS],
+            touched: 0,
+            mem: SpanMem::EMPTY,
+        }
+    }
 
-struct OpenSpan {
-    name: &'static str,
+    /// Folds one closed instance into the node.
+    pub(crate) fn close_instance(&mut self, wall_ns: u64, mem: &SpanMem) {
+        self.wall_ns = self.wall_ns.saturating_add(wall_ns);
+        self.count += 1;
+        self.mem.fold(mem);
+    }
+
+    pub(crate) fn add(&mut self, c: Counter, n: u64) {
+        if let Some(cell) = self.counters.get_mut(c as usize) {
+            *cell = cell.saturating_add(n);
+            self.touched |= 1 << (c as usize);
+        }
+    }
+}
+
+/// The child of `parent` named `name`, added when absent. A new child
+/// heads its parent's chain, so a chain runs newest sibling first.
+pub(crate) fn find_or_add(nodes: &mut Vec<Node>, parent: u32, name: &'static str) -> u32 {
+    let first = nodes.get(parent as usize).map_or(NIL, |n| n.first_child);
+    let mut link = first;
+    while let Some(node) = nodes.get(link as usize) {
+        if node.name == name {
+            return link;
+        }
+        link = node.next_sibling;
+    }
+    let added = u32_of(nodes.len());
+    nodes.push(Node {
+        next_sibling: first,
+        ..Node::new(name)
+    });
+    if let Some(p) = nodes.get_mut(parent as usize) {
+        p.first_child = added;
+    }
+    added
+}
+
+/// One open span instance.
+struct Frame {
+    node: u32,
     start: Instant,
-    counters: Vec<(&'static str, u64)>,
-    children: Vec<RawSpan>,
     mem_state: SpanMemState,
 }
 
+/// This thread's call tree and its open frames, innermost last.
+struct CallTree {
+    nodes: Vec<Node>,
+    stack: Vec<Frame>,
+}
+
 thread_local! {
-    static STACK: RefCell<Vec<OpenSpan>> = const { RefCell::new(Vec::new()) };
+    static TREE: RefCell<CallTree> = const {
+        RefCell::new(CallTree {
+            nodes: Vec::new(),
+            stack: Vec::new(),
+        })
+    };
 }
 
 /// Every root closed while a session recorded, from all threads, merged.
@@ -58,36 +143,22 @@ pub(crate) fn aggregate() -> std::sync::MutexGuard<'static, Vec<SpanData>> {
     AGGREGATE.lock().unwrap_or_else(|p| p.into_inner())
 }
 
-/// Merges a closed per-thread root into the aggregate. The raw tree is
-/// freed after the lock is released, which keeps the section other
-/// threads wait on short.
-fn file_root(node: RawSpan) {
-    report::merge_into(&mut aggregate(), &node);
-}
-
 pub(crate) fn duration_ns(d: Duration) -> u64 {
     u64::try_from(d.as_nanos()).unwrap_or(u64::MAX)
 }
 
 fn close_current(wall_override: Option<Duration>) {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let Some(open) = stack.pop() else { return };
+    TREE.with(|t| {
+        let tree = &mut *t.borrow_mut();
+        let Some(open) = tree.stack.pop() else { return };
         let wall = wall_override.unwrap_or_else(|| open.start.elapsed());
-        // Take the memory delta *before* building and filing the node so
-        // the node push itself is attributed to the parent, not the span
-        // that just closed.
         let mem = memprof::span_close(&open.mem_state);
-        let node = RawSpan {
-            name: open.name,
-            wall_ns: duration_ns(wall),
-            counters: open.counters,
-            children: open.children,
-            mem,
-        };
-        match stack.last_mut() {
-            Some(parent) => parent.children.push(node),
-            None => file_root(node),
+        if let Some(node) = tree.nodes.get_mut(open.node as usize) {
+            node.close_instance(duration_ns(wall), &mem);
+        }
+        if tree.stack.is_empty() {
+            report::merge_into(&mut aggregate(), &tree.nodes, 0);
+            tree.nodes.clear();
         }
     });
 }
@@ -124,19 +195,27 @@ pub fn span(name: &'static str) -> SpanGuard {
     if !crate::is_enabled() {
         return SpanGuard { active: false };
     }
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        // Push first (the push and the counter-slot reservation may
-        // allocate and belong to the *parent*), then snapshot the memory
-        // totals so this span's own tally starts clean.
-        stack.push(OpenSpan {
-            name,
+    TREE.with(|t| {
+        let tree = &mut *t.borrow_mut();
+        // Find the node and push the frame first (either may allocate and
+        // belongs to the *parent*), then snapshot the memory totals so
+        // this span's own tally starts clean. A root is node 0 of an
+        // empty tree.
+        let node = match tree.stack.last() {
+            Some(parent) => find_or_add(&mut tree.nodes, parent.node, name),
+            None => {
+                tree.nodes.reserve(ROOT_RESERVE);
+                tree.stack.reserve(ROOT_RESERVE);
+                tree.nodes.push(Node::new(name));
+                0
+            }
+        };
+        tree.stack.push(Frame {
+            node,
             start: Instant::now(),
-            counters: Vec::with_capacity(SPAN_COUNTER_CAPACITY),
-            children: Vec::new(),
             mem_state: SpanMemState::default(),
         });
-        if let Some(top) = stack.last_mut() {
+        if let Some(top) = tree.stack.last_mut() {
             top.mem_state = memprof::span_open();
         }
     });
@@ -151,12 +230,11 @@ pub fn span_add(c: Counter, n: u64) {
         return;
     }
     crate::counters::raw_add(c, n);
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        if let Some(top) = stack.last_mut() {
-            match top.counters.iter_mut().find(|(k, _)| *k == c.name()) {
-                Some((_, v)) => *v = v.saturating_add(n),
-                None => top.counters.push((c.name(), n)),
+    TREE.with(|t| {
+        let tree = &mut *t.borrow_mut();
+        if let Some(top) = tree.stack.last() {
+            if let Some(node) = tree.nodes.get_mut(top.node as usize) {
+                node.add(c, n);
             }
         }
     });
@@ -196,7 +274,7 @@ impl TimedSpan {
 /// Number of spans currently open on this thread. Exposed for tests that
 /// assert the disabled path records nothing.
 pub fn open_span_depth() -> usize {
-    STACK.with(|s| s.borrow().len())
+    TREE.with(|t| t.borrow().stack.len())
 }
 
 /// The `/`-joined names of this thread's open spans, outermost first
@@ -204,24 +282,15 @@ pub fn open_span_depth() -> usize {
 /// Structured events attach this as their span context, so a log line
 /// can be matched against the trace without any id plumbing.
 pub fn current_span_path() -> Option<String> {
-    STACK.with(|s| {
-        let stack = s.borrow();
-        (!stack.is_empty()).then(|| {
-            let names: Vec<&str> = stack.iter().map(|o| o.name).collect();
+    TREE.with(|t| {
+        let tree = t.borrow();
+        (!tree.stack.is_empty()).then(|| {
+            let names: Vec<&str> = tree
+                .stack
+                .iter()
+                .filter_map(|f| tree.nodes.get(f.node as usize).map(|n| n.name))
+                .collect();
             names.join("/")
         })
     })
-}
-
-/// Pre-grows this thread's span stack to at least `cap` slots (session
-/// start), so opening spans never reallocates the stack mid-measurement
-/// and pollutes a parent span's allocation tally.
-pub(crate) fn reserve_stack(cap: usize) {
-    STACK.with(|s| {
-        let mut stack = s.borrow_mut();
-        let have = stack.capacity();
-        if have < cap {
-            stack.reserve(cap - have);
-        }
-    });
 }

@@ -411,3 +411,37 @@ fn timed_span_wall_matches_reported_node_exactly() {
         .expect("timed span recorded");
     assert_eq!(u128::from(node.wall_ns), wall.as_nanos());
 }
+
+#[test]
+fn the_profiler_does_not_charge_its_bookkeeping_to_spans() {
+    let _guard = locked();
+    const CHILDREN: u64 = 1_000;
+    let session = Session::begin();
+    {
+        let _p = span("bookkeeping.p");
+        for _ in 0..CHILDREN {
+            let _c = span("bookkeeping.c");
+        }
+    }
+    let report = session.finish();
+    let p = report
+        .spans
+        .iter()
+        .find(|s| s.name == "bookkeeping.p")
+        .expect("parent span recorded");
+    let c = p
+        .children
+        .iter()
+        .find(|s| s.name == "bookkeeping.c")
+        .expect("child span recorded under the parent");
+    assert_eq!(c.count, CHILDREN);
+    assert_eq!(c.mem.allocs, 0, "{:?}", c.mem);
+    assert_eq!(c.mem.min_instance_allocs, 0, "{:?}", c.mem);
+    // Opening and closing an allocation-free child must cost its parent
+    // nothing per instance: at most the one-time growth of the call tree.
+    assert!(
+        p.mem.allocs < 4,
+        "parent charged {} allocations for {CHILDREN} allocation-free children",
+        p.mem.allocs
+    );
+}
