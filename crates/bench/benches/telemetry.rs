@@ -2,11 +2,12 @@
 //! *disabled* gate costs the `general` solve < 2% — here both states are
 //! measured side by side so a regression shows up as a ratio, not a
 //! guess. Also times the raw primitives (gated counter add, span
-//! open/close) to keep the per-call cost visible.
+//! open/close) to keep the per-call cost visible. Counters only count
+//! inside an open span, so the counter cases run under one.
 
 use mc3_bench::timing::Group;
 use mc3_solver::{Algorithm, Mc3Solver};
-use mc3_telemetry::{Counter, Session};
+use mc3_telemetry::{Counter, Hist, Session};
 use mc3_workload::SyntheticConfig;
 use std::hint::black_box;
 
@@ -26,9 +27,10 @@ fn bench_solve_overhead() {
 
 fn bench_primitives() {
     let group = Group::new("telemetry_primitives").samples(5);
-    group.bench("count/disabled", || {
+    group.bench("span_add/disabled", || {
+        let _root = mc3_telemetry::span("bench.root");
         for _ in 0..1_000 {
-            mc3_telemetry::count(Counter::DinicPhases, 1);
+            mc3_telemetry::span_add(Counter::DinicPhases, 1);
         }
     });
     group.bench("span/disabled", || {
@@ -37,15 +39,34 @@ fn bench_primitives() {
         }
     });
     let session = Session::begin();
-    group.bench("count/enabled", || {
+    group.bench("span_add/enabled", || {
+        let _root = mc3_telemetry::span("bench.root");
         for _ in 0..1_000 {
-            mc3_telemetry::count(Counter::DinicPhases, 1);
+            mc3_telemetry::span_add(Counter::DinicPhases, 1);
         }
     });
     group.bench("span/enabled", || {
         for _ in 0..1_000 {
             let _span = mc3_telemetry::span("bench.noop");
         }
+    });
+    // Two threads counting and recording at once, each under its own
+    // root: both write only their own call tree until the root closes,
+    // so this should cost about what one thread's 10,000 of each do,
+    // plus two thread spawns; shared per-increment writes would show
+    // here as cache-line contention.
+    group.bench("span_add_record/enabled_gate_2threads", || {
+        std::thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let _root = mc3_telemetry::span("bench.root");
+                    for i in 0..10_000u64 {
+                        mc3_telemetry::span_add(Counter::GreedyIterations, 1);
+                        mc3_telemetry::record(Hist::GreedyPickCoverage, black_box(i));
+                    }
+                });
+            }
+        });
     });
     drop(session.finish());
 }

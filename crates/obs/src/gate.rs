@@ -136,7 +136,7 @@ pub struct GateConfig {
     /// admits only zero at tolerance 0). `0.0` = exact match required.
     pub counter_tol: f64,
     /// Spans whose **baseline** wall time is below this are not wall-time
-    /// checked (their counters still are, via the global registry).
+    /// checked (their counters still are, via the report's counter totals).
     pub min_wall_ns: u64,
     /// Whether to gate on the memory axis: exact per-span-path allocation
     /// counts and bytes (no tolerance, no floor — allocator traces of a

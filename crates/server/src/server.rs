@@ -637,8 +637,8 @@ fn handle_buildinfo() -> HandlerResponse {
 /// Live gauge/counter families for the two caches. The cumulative
 /// `mc3_cache_hits_total` / `mc3_cache_misses_total` /
 /// `mc3_cache_evictions_total` counters already arrive through the
-/// telemetry registry ([`mc3_obs::prometheus_text`]); this adds the
-/// instantaneous occupancy families the registry cannot carry, plus the
+/// telemetry report ([`mc3_obs::prometheus_text`]); this adds the
+/// instantaneous occupancy families a report cannot carry, plus the
 /// request-cache plane.
 fn cache_metrics_text(state: &ServerState) -> String {
     let mut out = String::new();

@@ -25,18 +25,19 @@
 //!
 //! The cache is lock-striped into 16 shards selected by key bits, so
 //! concurrent solves (the server's requests) rarely contend. Each
-//! shard is a [`ByteLru`] with a sixteenth of the capacity as its byte
-//! budget; entry sizes are estimated from their set payloads. All
-//! statistics live under the shard locks — the only atomics are the
-//! doorkeeper's tags (see "Admission") — and are summed on demand by
-//! [`SolveCache::stats`]. Hits, misses, first sightings,
-//! evictions and lookup latency are also reported through the
-//! `mc3-telemetry` registry (`cache_hits`/`cache_misses`/
-//! `cache_first_sightings`/`cache_evictions`/`cache_lookup_ns`), which
-//! is what surfaces them as
-//! `mc3_cache_*` Prometheus families in `mc3 serve`; components that
-//! never reach a lookup because canonicalization ran out of budget are
-//! counted as `canon_budget_exhausted`.
+//! shard is a mutex around a [`ByteLru`] with a sixteenth of the
+//! capacity as its byte budget; entry sizes are estimated from their set
+//! payloads. The only other shared state is the doorkeeper's tags (see
+//! "Admission"). [`SolveCache::stats`] sums the shards' occupancy
+//! (entries and resident bytes). Hits, negative hits, misses, first
+//! sightings and evictions are kept nowhere in the cache: each is one
+//! `mc3-telemetry` counter increment (`cache_hits`/`cache_negative_hits`/
+//! `cache_misses`/`cache_first_sightings`/`cache_evictions`) in the span
+//! that observed it, which takes no lock and surfaces as the
+//! `mc3_cache_*` Prometheus families in `mc3 serve`. The `cache.consult`
+//! span counts and times every lookup. Components that never reach a
+//! lookup because canonicalization ran out of budget are counted as
+//! `canon_budget_exhausted`.
 //!
 //! # Admission
 //!
@@ -219,35 +220,10 @@ impl<V> ByteLru<V> {
     }
 }
 
-/// One lock stripe: its LRU plus the counters [`SolveCache::stats`] sums.
-struct Shard {
-    lru: ByteLru<CachedOutcome>,
-    hits: u64,
-    negative_hits: u64,
-    misses: u64,
-    first_sightings: u64,
-    evictions: u64,
-    insertions: u64,
-}
-
-/// Aggregated statistics of a [`SolveCache`].
+/// Occupancy of a [`SolveCache`]. Its hits, misses, first sightings and
+/// evictions are telemetry counters (`cache_*`), not fields here.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Lookups answered from the cache (after successful re-verification).
-    pub hits: u64,
-    /// Uncoverable verdicts replayed from the cache (after re-verifying
-    /// that the component is still uncoverable).
-    pub negative_hits: u64,
-    /// Lookups that found nothing usable (including failed re-verifies),
-    /// and first sightings.
-    pub misses: u64,
-    /// Components solved uncached on their first sighting (counted in
-    /// `misses` too): never canonicalized, looked up or inserted.
-    pub first_sightings: u64,
-    /// Entries evicted to stay under the byte budget.
-    pub evictions: u64,
-    /// Entries inserted over the cache's lifetime.
-    pub insertions: u64,
     /// Live entries right now.
     pub entries: u64,
     /// Estimated resident bytes right now.
@@ -261,7 +237,7 @@ pub struct CacheStats {
 /// solver-configuration digest, so e.g. `general` and `k2` results never
 /// alias).
 pub struct SolveCache {
-    shards: Vec<Mutex<Shard>>,
+    shards: Vec<Mutex<ByteLru<CachedOutcome>>>,
     /// The admission doorkeeper: per slot, the last pre-key tag seen.
     doorkeeper: Box<[AtomicU64]>,
     capacity: usize,
@@ -282,17 +258,7 @@ impl SolveCache {
         let shard_budget = (bytes / SHARDS).max(ENTRY_OVERHEAD);
         SolveCache {
             shards: (0..SHARDS)
-                .map(|_| {
-                    Mutex::new(Shard {
-                        lru: ByteLru::new(shard_budget),
-                        hits: 0,
-                        negative_hits: 0,
-                        misses: 0,
-                        first_sightings: 0,
-                        evictions: 0,
-                        insertions: 0,
-                    })
-                })
+                .map(|_| Mutex::new(ByteLru::new(shard_budget)))
                 .collect(),
             doorkeeper: (0..1usize << DOORKEEPER_BITS)
                 .map(|_| AtomicU64::new(0))
@@ -306,7 +272,7 @@ impl SolveCache {
         Self::with_capacity_bytes(mb.saturating_mul(1024 * 1024))
     }
 
-    fn shard(&self, key: u128) -> &Mutex<Shard> {
+    fn shard(&self, key: u128) -> &Mutex<ByteLru<CachedOutcome>> {
         &self.shards[(key as usize) & (SHARDS - 1)]
     }
 
@@ -316,39 +282,24 @@ impl SolveCache {
     /// (or [`confirm_negative_hit`](Self::confirm_negative_hit)) or
     /// [`reject`](Self::reject).
     pub fn lookup_outcome(&self, key: u128) -> Option<CachedOutcome> {
-        self.shard(key).lock().ok()?.lru.get(key).cloned()
+        self.shard(key).lock().ok()?.get(key).cloned()
     }
 
-    /// Records a verified hit.
-    pub fn confirm_hit(&self, key: u128) {
-        if let Ok(mut shard) = self.shard(key).lock() {
-            shard.hits += 1;
-        }
-        mc3_telemetry::count(mc3_telemetry::Counter::CacheHits, 1);
+    /// Records a verified hit in the `cache_hits` counter.
+    pub fn confirm_hit(&self, _key: u128) {
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CacheHits, 1);
     }
 
-    /// Records a verified negative hit (a replayed uncoverable verdict).
-    pub fn confirm_negative_hit(&self, key: u128) {
-        if let Ok(mut shard) = self.shard(key).lock() {
-            shard.negative_hits += 1;
-        }
-        mc3_telemetry::count(mc3_telemetry::Counter::CacheNegativeHits, 1);
+    /// Records a verified negative hit (a replayed uncoverable verdict)
+    /// in the `cache_negative_hits` counter.
+    pub fn confirm_negative_hit(&self, _key: u128) {
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CacheNegativeHits, 1);
     }
 
-    /// Records a miss (no entry, or a candidate that failed verification).
-    pub fn note_miss(&self, key: u128) {
-        self.count_miss(key, false);
-    }
-
-    fn count_miss(&self, key: u128, first_sighting: bool) {
-        if let Ok(mut shard) = self.shard(key).lock() {
-            shard.misses += 1;
-            shard.first_sightings += u64::from(first_sighting);
-        }
-        mc3_telemetry::count(mc3_telemetry::Counter::CacheMisses, 1);
-        if first_sighting {
-            mc3_telemetry::count(mc3_telemetry::Counter::CacheFirstSightings, 1);
-        }
+    /// Records a miss (no entry, or a candidate that failed verification)
+    /// in the `cache_misses` counter.
+    pub fn note_miss(&self, _key: u128) {
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CacheMisses, 1);
     }
 
     /// The doorkeeper: records a sighting of a component whose
@@ -364,14 +315,15 @@ impl SolveCache {
         if slot.swap(tag, Ordering::Relaxed) == tag {
             return true;
         }
-        self.count_miss(u128::from(prekey), true);
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CacheMisses, 1);
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CacheFirstSightings, 1);
         false
     }
 
     /// Drops an entry that failed re-verification (collision/corruption).
     pub fn reject(&self, key: u128) {
         if let Ok(mut shard) = self.shard(key).lock() {
-            shard.lru.remove(key);
+            shard.remove(key);
         }
     }
 
@@ -392,18 +344,14 @@ impl SolveCache {
         let Ok(mut shard) = self.shard(key).lock() else {
             return;
         };
-        let Some(evicted) = shard.lru.insert(key, outcome, bytes) else {
-            return;
-        };
-        shard.insertions += 1;
-        shard.evictions += evicted;
+        let evicted = shard.insert(key, outcome, bytes).unwrap_or(0);
         drop(shard);
         if evicted > 0 {
-            mc3_telemetry::count(mc3_telemetry::Counter::CacheEvictions, evicted);
+            mc3_telemetry::span_add(mc3_telemetry::Counter::CacheEvictions, evicted);
         }
     }
 
-    /// Sums per-shard statistics.
+    /// Sums the shards' occupancy.
     pub fn stats(&self) -> CacheStats {
         let mut s = CacheStats {
             capacity_bytes: self.capacity as u64,
@@ -411,14 +359,8 @@ impl SolveCache {
         };
         for shard in &self.shards {
             if let Ok(shard) = shard.lock() {
-                s.hits += shard.hits;
-                s.negative_hits += shard.negative_hits;
-                s.misses += shard.misses;
-                s.first_sightings += shard.first_sightings;
-                s.evictions += shard.evictions;
-                s.insertions += shard.insertions;
-                s.entries += shard.lru.len() as u64;
-                s.resident_bytes += shard.lru.bytes() as u64;
+                s.entries += shard.len() as u64;
+                s.resident_bytes += shard.bytes() as u64;
             }
         }
         s
@@ -512,7 +454,7 @@ fn component_canonical(
 ) -> Option<Canonical> {
     let canonical = canon::canonicalize(queries, kp, canon::DEFAULT_BUDGET, weight_of);
     if canonical.is_none() {
-        mc3_telemetry::count(mc3_telemetry::Counter::CanonBudgetExhausted, 1);
+        mc3_telemetry::span_add(mc3_telemetry::Counter::CanonBudgetExhausted, 1);
     }
     canonical
 }
@@ -720,7 +662,6 @@ impl CacheContext {
         key: u128,
     ) -> Option<mc3_core::Result<Vec<ClassifierId>>> {
         let _span = mc3_telemetry::span("cache.consult");
-        let t0 = mc3_telemetry::monotonic_ns();
         let answer = match self.cache.lookup_outcome(key) {
             Some(CachedOutcome::Solved(cached)) => {
                 let ids = remap_verified(ws, comp, canonical, &cached);
@@ -746,10 +687,6 @@ impl CacheContext {
         if answer.is_none() {
             self.cache.note_miss(key);
         }
-        mc3_telemetry::record(
-            mc3_telemetry::Hist::CacheLookupNs,
-            mc3_telemetry::monotonic_ns().saturating_sub(t0),
-        );
         answer
     }
 }
@@ -776,16 +713,14 @@ mod tests {
     fn lookup_insert_roundtrip_and_stats() {
         let cache = SolveCache::with_capacity_mb(1);
         assert!(cache.lookup_outcome(7).is_none());
-        cache.note_miss(7);
         cache.insert(7, entry(3, 9));
         let got = solved(&cache, 7).expect("present");
         assert_eq!(got.sets, vec![vec![9, 9, 9]]);
         assert_eq!(got.cost_raw, 9);
-        cache.confirm_hit(7);
         let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.entries), (1, 1, 1));
+        assert_eq!(s.entries, 1);
         assert_eq!(s.capacity_bytes, 1024 * 1024);
-        assert!(s.resident_bytes > 0);
+        assert_eq!(s.resident_bytes, entry(3, 9).bytes() as u64);
     }
 
     #[test]
@@ -799,9 +734,9 @@ mod tests {
         // so `a` is seen for the first time again.
         assert!(!cache.admit(b));
         assert!(!cache.admit(a));
+        // Admission only tags slots: nothing is inserted.
         let s = cache.stats();
-        assert_eq!((s.first_sightings, s.misses, s.hits), (3, 3, 0));
-        assert_eq!((s.insertions, s.entries), (0, 0));
+        assert_eq!((s.entries, s.resident_bytes), (0, 0));
     }
 
     #[test]
@@ -815,7 +750,7 @@ mod tests {
     }
 
     #[test]
-    fn shard_counts_admissions_and_evictions() {
+    fn shard_evicts_lru_entries_and_refuses_oversized_ones() {
         // Budget fits ~2 entries per shard; keys 0, 16, 32 share shard 0.
         let cache = SolveCache::with_capacity_bytes(SHARDS * (2 * ENTRY_OVERHEAD + 64));
         cache.insert(0, entry(1, 1));
@@ -828,8 +763,10 @@ mod tests {
             cache.lookup_outcome(48).is_none(),
             "oversized entry refused"
         );
+        assert!(cache.lookup_outcome(16).is_some());
+        assert!(cache.lookup_outcome(32).is_some());
         let s = cache.stats();
-        assert_eq!((s.insertions, s.evictions, s.entries), (3, 1, 2));
+        assert_eq!(s.entries, 2);
         assert_eq!(s.resident_bytes, 2 * entry(1, 0).bytes() as u64);
     }
 
@@ -841,11 +778,12 @@ mod tests {
             cache.lookup_outcome(11),
             Some(CachedOutcome::Uncoverable)
         ));
-        cache.confirm_negative_hit(11);
         let s = cache.stats();
-        assert_eq!((s.negative_hits, s.entries, s.insertions), (1, 1, 1));
+        assert_eq!(s.entries, 1);
+        assert_eq!(s.resident_bytes, ENTRY_OVERHEAD as u64);
         cache.reject(11);
         assert!(cache.lookup_outcome(11).is_none());
+        assert_eq!(cache.stats().resident_bytes, 0);
     }
 
     /// A map whose budget fits exactly two unit-charged entries.

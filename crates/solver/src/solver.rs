@@ -380,7 +380,7 @@ impl Mc3Solver {
                 ("alive_queries", alive.len().into()),
             ],
         );
-        mc3_telemetry::count(mc3_telemetry::Counter::ComponentsSplit, comps.len() as u64);
+        mc3_telemetry::span_add(mc3_telemetry::Counter::ComponentsSplit, comps.len() as u64);
         if mc3_telemetry::is_enabled() {
             for comp in &comps {
                 mc3_telemetry::record(mc3_telemetry::Hist::ComponentSize, comp.len() as u64);

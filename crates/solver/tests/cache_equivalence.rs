@@ -26,6 +26,12 @@
 //!   at the uncached cost and consult once per component between them.
 //!   Both may miss on one shape, so hits and the concrete classifiers
 //!   are not pinned there; a warm re-solve is answered from the cache.
+//!
+//! Hits, misses, first sightings and negative hits are telemetry
+//! counters, so each case solves under a telemetry [`Session`] and reads
+//! them from [`mc3_telemetry::live_report`]. The session gate is
+//! process-wide: a solve on another test's thread would file into it, so
+//! every test in this binary solves only while it holds a session.
 
 mod common;
 
@@ -33,6 +39,7 @@ use common::replicated_instance;
 use mc3_core::rng::prelude::*;
 use mc3_core::{Instance, PropId, PropSet, Weights};
 use mc3_solver::{Algorithm, Mc3Solver, SolveCache};
+use mc3_telemetry::Session;
 use std::sync::Arc;
 
 const CASES: u64 = 200;
@@ -57,6 +64,12 @@ fn random_instance(seed: u64) -> (Vec<Vec<u32>>, Instance) {
     (queries, instance)
 }
 
+/// The total of counter `name` (`"cache_hits"`, …) recorded so far in
+/// the session the caller holds.
+fn counter(name: &str) -> u64 {
+    mc3_telemetry::live_report().counters[name]
+}
+
 fn solver(cache: Option<&Arc<SolveCache>>) -> Mc3Solver {
     let s = Mc3Solver::new()
         .algorithm(Algorithm::General)
@@ -71,6 +84,7 @@ fn solver(cache: Option<&Arc<SolveCache>>) -> Mc3Solver {
 fn cache_on_equals_cache_off() {
     for seed in 0..CASES {
         let (_, instance) = random_instance(seed);
+        let _session = Session::begin();
         let cold = solver(None).solve(&instance).expect("uncached solve");
         cold.verify(&instance).expect("uncached cover");
 
@@ -85,16 +99,21 @@ fn cache_on_equals_cache_off() {
         );
         assert_eq!(cold.cost(), first.solution.cost(), "seed {seed}");
 
-        let stats = cache.stats();
-        assert_eq!(stats.hits, 0, "seed {seed}: fresh cache cannot hit");
+        let (misses, first_sightings) = (counter("cache_misses"), counter("cache_first_sightings"));
         assert_eq!(
-            stats.misses, first.components as u64,
+            counter("cache_hits"),
+            0,
+            "seed {seed}: fresh cache cannot hit"
+        );
+        assert_eq!(
+            misses, first.components as u64,
             "seed {seed}: every component consults once"
         );
-        assert!(stats.first_sightings > 0, "seed {seed}: {stats:?}");
+        assert!(first_sightings > 0, "seed {seed}");
+        // No entry is evicted from 8 MiB, so entries count insertions.
         assert_eq!(
-            stats.insertions,
-            stats.misses - stats.first_sightings,
+            cache.stats().entries,
+            misses - first_sightings,
             "seed {seed}: every miss but a first sighting inserts"
         );
 
@@ -109,10 +128,10 @@ fn cache_on_equals_cache_off() {
             );
         };
         warm(2);
-        let hits_before = cache.stats().hits;
+        let hits_before = counter("cache_hits");
         warm(3);
         assert_eq!(
-            cache.stats().hits - hits_before,
+            counter("cache_hits") - hits_before,
             first.components as u64,
             "seed {seed}: the third identical solve must hit every component"
         );
@@ -131,6 +150,7 @@ fn second_sightings_solve_fresh_then_hit() {
         }
         let instance =
             Instance::new(queries, Weights::seeded(seed, 1, 30)).expect("valid instance");
+        let _session = Session::begin();
         let cold = solver(None).solve(&instance).expect("uncached solve");
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
         let solve = || solver(Some(&cache)).solve(&instance).expect("cached solve");
@@ -149,11 +169,15 @@ fn second_sightings_solve_fresh_then_hit() {
         let third = solve();
         third.verify(&instance).expect("seed {seed}: served cover");
         assert_eq!(cold.cost(), third.cost(), "seed {seed}: served cost");
-        let s = cache.stats();
         assert_eq!(
-            (s.first_sightings, s.misses, s.insertions, s.hits),
+            (
+                counter("cache_first_sightings"),
+                counter("cache_misses"),
+                cache.stats().entries,
+                counter("cache_hits")
+            ),
             (1, 2, 1, 1),
-            "seed {seed}: {s:?}"
+            "seed {seed}"
         );
     }
 }
@@ -197,6 +221,7 @@ fn relabeled_instances_are_served_from_the_cache() {
 
         // Two solves of I: the first sights every shape, the second
         // inserts it.
+        let _session = Session::begin();
         let cache = Arc::new(SolveCache::with_capacity_mb(8));
         let base = solver(Some(&cache))
             .solve_report(&instance)
@@ -205,7 +230,7 @@ fn relabeled_instances_are_served_from_the_cache() {
             .solve_report(&instance)
             .expect("warming solve");
         assert_eq!(base.solution.cost(), again.solution.cost(), "seed {seed}");
-        let hits_before = cache.stats().hits;
+        let hits_before = counter("cache_hits");
 
         let pi = solver(Some(&cache))
             .solve_report(&pi_instance)
@@ -213,7 +238,7 @@ fn relabeled_instances_are_served_from_the_cache() {
         pi.solution
             .verify(&pi_instance)
             .expect("remapped cover must verify");
-        let hits = cache.stats().hits - hits_before;
+        let hits = counter("cache_hits") - hits_before;
         assert_eq!(
             hits as usize, pi.components,
             "seed {seed}: every component of π(I) must be answered from the cache"
@@ -235,6 +260,7 @@ fn cached_solves_solve_each_repeated_shape_once() {
     // and inserts, and every later copy consults the entry it left.
     for seed in 0..40 {
         let instance = replicated_instance(seed, COPIES);
+        let _session = Session::begin();
         let uncached = Mc3Solver::new()
             .without_preprocessing()
             .solve(&instance)
@@ -247,22 +273,25 @@ fn cached_solves_solve_each_repeated_shape_once() {
             .expect("cached solve");
         report.solution.verify(&instance).expect("cached cover");
         assert_eq!(uncached.cost(), report.solution.cost(), "seed {seed}");
-        let s = cache.stats();
+        let (hits, misses) = (counter("cache_hits"), counter("cache_misses"));
+        let first_sightings = counter("cache_first_sightings");
         let components = report.components as u64;
         assert_eq!(
-            s.hits + s.misses,
+            hits + misses,
             components,
             "seed {seed}: every component consults once"
         );
+        // No entry is evicted from 8 MiB, so entries count insertions.
         assert_eq!(
-            s.insertions,
-            s.misses - s.first_sightings,
+            cache.stats().entries,
+            misses - first_sightings,
             "seed {seed}: every miss but a first sighting inserts"
         );
         assert!(
-            s.first_sightings <= components / u64::from(COPIES)
-                && s.misses <= 2 * components / u64::from(COPIES),
-            "seed {seed}: {s:?} for {components} components in {COPIES} copies"
+            first_sightings <= components / u64::from(COPIES)
+                && misses <= 2 * components / u64::from(COPIES),
+            "seed {seed}: {first_sightings} first sightings and {misses} misses \
+             for {components} components in {COPIES} copies"
         );
     }
 }
@@ -271,6 +300,7 @@ fn cached_solves_solve_each_repeated_shape_once() {
 fn concurrent_solvers_share_the_cache() {
     for seed in 0..40 {
         let instance = replicated_instance(seed, COPIES);
+        let _session = Session::begin();
         let uncached = Mc3Solver::new()
             .without_preprocessing()
             .solve(&instance)
@@ -297,16 +327,16 @@ fn concurrent_solvers_share_the_cache() {
                 .iter()
                 .sum()
         });
-        let s = cache.stats();
+        let hits = counter("cache_hits");
         assert_eq!(
-            s.hits + s.misses,
+            hits + counter("cache_misses"),
             components,
             "seed {seed}: every component consults once"
         );
 
         let warm = solve();
         assert_eq!(
-            cache.stats().hits - s.hits,
+            counter("cache_hits") - hits,
             warm.components as u64,
             "seed {seed}: the warm re-solve must hit every component"
         );
@@ -343,6 +373,7 @@ fn negative_verdicts_memoize_and_replay() {
             query_index: bad_index,
         };
 
+        let _session = Session::begin();
         let uncached = solver(None).solve(&instance).expect_err("uncoverable");
         assert_eq!(uncached, expected, "seed {seed}: uncached verdict");
 
@@ -355,7 +386,7 @@ fn negative_verdicts_memoize_and_replay() {
                 .expect_err("uncoverable");
             assert_eq!(cold, expected, "seed {seed}: cached verdict {round}");
             assert_eq!(
-                cache.stats().negative_hits,
+                counter("cache_negative_hits"),
                 0,
                 "seed {seed}: solve {round} cannot hit"
             );
@@ -366,7 +397,7 @@ fn negative_verdicts_memoize_and_replay() {
             .expect_err("uncoverable");
         assert_eq!(warm, expected, "seed {seed}: replayed verdict drifted");
         assert!(
-            cache.stats().negative_hits > 0,
+            counter("cache_negative_hits") > 0,
             "seed {seed}: the third solve must replay the memoized verdict"
         );
     }
@@ -381,6 +412,7 @@ fn k2_pipeline_uses_the_cache_too() {
         queries.push(vec![base + 1, base + 2]);
     }
     let instance = Instance::new(queries, Weights::seeded(11, 1, 9)).expect("valid instance");
+    let _session = Session::begin();
     let cache = Arc::new(SolveCache::with_capacity_mb(4));
     let run = || {
         Mc3Solver::new()
@@ -398,12 +430,16 @@ fn k2_pipeline_uses_the_cache_too() {
     c.verify(&instance).expect("cover");
     assert_eq!(a.cost(), b.cost());
     assert_eq!(a.cost(), c.cost());
-    assert!(cache.stats().hits > 0, "k2 components must hit on re-solve");
+    assert!(
+        counter("cache_hits") > 0,
+        "k2 components must hit on re-solve"
+    );
 }
 
 #[test]
 fn prebuilt_inventory_bypasses_the_cache() {
     let (_, instance) = random_instance(7);
+    let _session = Session::begin();
     let cache = Arc::new(SolveCache::with_capacity_mb(4));
     let prebuilt = vec![PropSet::from_ids([instance.queries()[0]
         .ids()
@@ -417,9 +453,12 @@ fn prebuilt_inventory_bypasses_the_cache() {
         .solve_report(&instance)
         .expect("prebuilt solve");
     assert!(mc3_core::is_cover(&instance, &report.full_cover()));
-    let stats = cache.stats();
     assert_eq!(
-        (stats.hits, stats.misses, stats.entries),
+        (
+            counter("cache_hits"),
+            counter("cache_misses"),
+            cache.stats().entries
+        ),
         (0, 0, 0),
         "prebuilt solves must not touch the shared cache"
     );
@@ -442,20 +481,19 @@ fn symmetric_components_are_fingerprinted_and_shared() {
             None => s,
         }
     };
+    let _session = Session::begin();
     let cold = served(None).solve(&instance).expect("uncached solve");
     let cache = Arc::new(SolveCache::with_capacity_mb(8));
     let cached = served(Some(&cache)).solve(&instance).expect("cached solve");
     cached.verify(&instance).expect("cached cover");
     assert_eq!(cold.cost(), cached.cost());
-    let stats = cache.stats();
     assert_eq!(
         (
-            stats.first_sightings,
-            stats.misses,
-            stats.insertions,
-            stats.hits
+            counter("cache_first_sightings"),
+            counter("cache_misses"),
+            cache.stats().entries,
+            counter("cache_hits")
         ),
-        (1, 2, 1, 18),
-        "{stats:?}"
+        (1, 2, 1, 18)
     );
 }

@@ -1,8 +1,9 @@
 //! Telemetry properties of the full solve pipeline: the span tree's
 //! phase nodes store *exactly* the public `SolveTimings` durations, the
-//! tree covers (almost) all of the solve wall time, and a mixed-length
+//! tree covers (almost) all of the solve wall time, a mixed-length
 //! workload lights up both the k ≤ 2 flow counters and the general-path
-//! greedy counters.
+//! greedy counters, and every counter total is the sum of its span
+//! nodes, the solve cache's included.
 //!
 //! Seeded-loop style (the workspace builds offline, without `proptest`):
 //! deterministic random cases from [`mc3_core::rng::StdRng`], printing
@@ -11,11 +12,13 @@
 //! but the lock keeps assertions from interleaving with another test's
 //! recording window).
 
+mod common;
+
 use mc3_core::rng::prelude::*;
 use mc3_core::{Instance, Weights};
-use mc3_solver::{Algorithm, Mc3Solver};
-use mc3_telemetry::{Session, SpanData, TelemetryReport};
-use std::sync::Mutex;
+use mc3_solver::{Algorithm, Mc3Solver, SolveCache};
+use mc3_telemetry::{Session, SpanData, TelemetryReport, COUNTER_NAMES};
+use std::sync::{Arc, Mutex};
 
 static TEST_LOCK: Mutex<()> = Mutex::new(());
 
@@ -180,4 +183,49 @@ fn solves_outside_a_session_record_nothing() {
         tel.counters.values().all(|&v| v == 0),
         "untraced solve leaked counters"
     );
+}
+
+/// Counter `name` summed over `nodes` and all their descendants.
+fn span_sum(nodes: &[SpanData], name: &str) -> u64 {
+    nodes
+        .iter()
+        .map(|n| n.counters.get(name).copied().unwrap_or(0) + span_sum(&n.children, name))
+        .sum()
+}
+
+#[test]
+fn counter_totals_are_the_sums_of_their_span_nodes() {
+    let _guard = locked();
+    // Four copies of one shape, left whole by skipping preprocessing: the
+    // first solve sights the shape, inserts it and hits the later copies,
+    // and the second hits every copy.
+    let instance = common::replicated_instance(5, 4);
+    let cache = Arc::new(SolveCache::with_capacity_mb(8));
+    let session = Session::begin();
+    for _ in 0..2 {
+        Mc3Solver::new()
+            .without_preprocessing()
+            .cache(Arc::clone(&cache))
+            .solve_report(&instance)
+            .expect("solvable");
+    }
+    let tel = session.finish();
+    for name in COUNTER_NAMES {
+        assert_eq!(
+            tel.counters[*name],
+            span_sum(&tel.spans, name),
+            "counter '{name}': report total vs span tree\n{}",
+            tel.render()
+        );
+    }
+    let core = find_root(&tel, "solve")
+        .and_then(|root| find_child(root, "solve_core"))
+        .expect("solve/solve_core span");
+    for name in ["cache_hits", "cache_misses", "components_split"] {
+        assert!(
+            span_sum(std::slice::from_ref(core), name) > 0,
+            "counter '{name}' is not under solve/solve_core\n{}",
+            tel.render()
+        );
+    }
 }

@@ -1,19 +1,21 @@
 //! The fixed counter and histogram registries.
 //!
 //! Counters are a *closed* enum: every countable solver internal is
-//! declared here, once, with its wire name. The cells behind them are
-//! global `AtomicU64`s, so increments from concurrent threads (the
-//! server's requests) aggregate for free.
+//! declared here, once, with its wire name. There are no counter cells
+//! here: an increment lives in the innermost open span's call-tree node
+//! ([`span_add`](crate::span_add)), and a counter's total is the sum
+//! over the aggregated span tree.
 //! [`TelemetryReport`](crate::TelemetryReport) always emits *every*
 //! registered name — zeros included — which is what lets
 //! `TelemetryReport::from_json` double as a schema-drift guard.
 //!
 //! Histograms use log2 buckets: bucket 0 holds the value `0`, bucket
 //! `i ≥ 1` holds values in `[2^(i-1), 2^i - 1]`, for [`HIST_BUCKETS`]
-//! buckets total (enough for the full `u64` range).
+//! buckets total (enough for the full `u64` range). Their cells are a
+//! fixed [`HistBlock`] per thread call tree, drained into the
+//! aggregate's block when a root closes.
 
 use mc3_core::u32_of;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 macro_rules! declare_counters {
     ($($(#[$meta:meta])* $variant:ident => $name:literal,)+) => {
@@ -147,8 +149,6 @@ declare_hists! {
     GreedyPickCoverage => "greedy_pick_coverage",
     /// Covering-LP dual simplex pivots per solve.
     LpIterations => "lp_iterations",
-    /// Nanoseconds per solve-cache lookup (hit or miss, incl. re-verify).
-    CacheLookupNs => "cache_lookup_ns",
 }
 
 /// Number of log2 buckets per histogram: bucket 0 for the value `0`,
@@ -158,36 +158,38 @@ pub const HIST_BUCKETS: usize = 65;
 pub(crate) const N_COUNTERS: usize = COUNTER_NAMES.len();
 const N_HISTS: usize = HIST_NAMES.len();
 
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO: AtomicU64 = AtomicU64::new(0);
-#[allow(clippy::declare_interior_mutable_const)]
-const ZERO_ROW: [AtomicU64; HIST_BUCKETS] = [ZERO; HIST_BUCKETS];
+/// Histogram cells: per registered histogram, indexed by `Hist as usize`,
+/// its [`HIST_BUCKETS`] bucket counts, then the observation count, then
+/// the value sum.
+pub(crate) type HistBlock = [[u64; HIST_BUCKETS + 2]; N_HISTS];
 
-static CELLS: [AtomicU64; N_COUNTERS] = [ZERO; N_COUNTERS];
-static HIST_CELLS: [[AtomicU64; HIST_BUCKETS]; N_HISTS] = [ZERO_ROW; N_HISTS];
-static HIST_COUNT: [AtomicU64; N_HISTS] = [ZERO; N_HISTS];
-static HIST_SUM: [AtomicU64; N_HISTS] = [ZERO; N_HISTS];
+/// A histogram block with nothing recorded.
+pub(crate) const EMPTY_HISTS: HistBlock = [[0; HIST_BUCKETS + 2]; N_HISTS];
 
-/// Unconditional add, for callers that already checked the gate.
-pub(crate) fn raw_add(c: Counter, n: u64) {
-    CELLS[c as usize].fetch_add(n, Ordering::Relaxed);
-}
-
-/// Adds `n` to a counter if a telemetry session is recording. When the
-/// gate is off this is one relaxed atomic load and a predictable branch.
-#[inline]
-pub fn count(c: Counter, n: u64) {
-    if crate::is_enabled() {
-        raw_add(c, n);
+/// Adds one observation `v` of `h` into `block`.
+pub(crate) fn observe(block: &mut HistBlock, h: Hist, v: u64) {
+    let row = block
+        .get_mut(h as usize)
+        .and_then(|r| r.split_last_chunk_mut::<2>());
+    if let Some((buckets, [count, sum])) = row {
+        if let Some(cell) = buckets.get_mut(bucket_of(v)) {
+            *cell += 1;
+        }
+        *count += 1;
+        *sum = sum.saturating_add(v);
     }
 }
 
-/// Current total of a counter (survives until the next [`Session::begin`]
-/// reset, so it can be read after a session finishes).
-///
-/// [`Session::begin`]: crate::Session::begin
-pub fn total(c: Counter) -> u64 {
-    CELLS[c as usize].load(Ordering::Relaxed)
+/// Adds every observation in `from` into `into`, leaving `from` empty.
+pub(crate) fn drain_into(into: &mut HistBlock, from: &mut HistBlock) {
+    for (into, from) in into.iter_mut().zip(from.iter_mut()) {
+        if from.get(HIST_BUCKETS) == Some(&0) {
+            continue;
+        }
+        for (a, b) in into.iter_mut().zip(from.iter_mut()) {
+            *a = a.saturating_add(std::mem::take(b));
+        }
+    }
 }
 
 /// The log2 bucket index a value lands in: `0 → 0`, otherwise
@@ -215,55 +217,21 @@ pub fn bucket_bounds(bucket: usize) -> (u64, u64) {
     }
 }
 
-/// Records one observation into a histogram if a session is recording.
-#[inline]
-pub fn record(h: Hist, v: u64) {
-    if crate::is_enabled() {
-        HIST_CELLS[h as usize][bucket_of(v)].fetch_add(1, Ordering::Relaxed);
-        HIST_COUNT[h as usize].fetch_add(1, Ordering::Relaxed);
-        HIST_SUM[h as usize].fetch_add(v, Ordering::Relaxed);
-    }
-}
-
-/// Number of observations recorded into a histogram so far.
-pub fn hist_count(h: Hist) -> u64 {
-    HIST_COUNT[h as usize].load(Ordering::Relaxed)
-}
-
-/// Raw snapshot of one histogram: `(count, sum, non-empty buckets)`.
-pub(crate) fn hist_raw(h: Hist) -> (u64, u64, Vec<(u32, u64)>) {
-    let row = &HIST_CELLS[h as usize];
-    let buckets = row
+/// One histogram's `(count, sum, non-empty buckets)` in `block`.
+pub(crate) fn hist_row(block: &HistBlock, h: Hist) -> (u64, u64, Vec<(u32, u64)>) {
+    let Some((buckets, [count, sum])) = block
+        .get(h as usize)
+        .and_then(|row| row.split_last_chunk::<2>())
+    else {
+        return (0, 0, Vec::new());
+    };
+    let buckets = buckets
         .iter()
         .enumerate()
-        .filter_map(|(i, cell)| {
-            let c = cell.load(Ordering::Relaxed);
-            (c > 0).then_some((u32_of(i), c))
-        })
+        .filter(|&(_, &c)| c > 0)
+        .map(|(i, &c)| (u32_of(i), c))
         .collect();
-    (
-        HIST_COUNT[h as usize].load(Ordering::Relaxed),
-        HIST_SUM[h as usize].load(Ordering::Relaxed),
-        buckets,
-    )
-}
-
-/// Zeroes every counter and histogram cell (session start).
-pub(crate) fn reset() {
-    for cell in &CELLS {
-        cell.store(0, Ordering::Relaxed);
-    }
-    for row in &HIST_CELLS {
-        for cell in row {
-            cell.store(0, Ordering::Relaxed);
-        }
-    }
-    for cell in &HIST_COUNT {
-        cell.store(0, Ordering::Relaxed);
-    }
-    for cell in &HIST_SUM {
-        cell.store(0, Ordering::Relaxed);
-    }
+    (*count, *sum, buckets)
 }
 
 #[cfg(test)]

@@ -5,8 +5,8 @@
 //! The paper's experiments (§6) are all about *where* solver work goes:
 //! preprocessing shrinkage per Observation 3.1–3.4, flow effort inside
 //! the k ≤ 2 path (Theorem 4.1), greedy iterations against the
-//! Theorem 5.3 bound. This crate records exactly that, with three
-//! primitives and one hard rule:
+//! Theorem 5.3 bound. This crate records exactly that, with four
+//! primitives, one store and two hard rules:
 //!
 //! * **Spans** ([`span`], [`timed_span`]) — hierarchical wall-time
 //!   regions that fold into a per-thread call tree as they close; closing
@@ -14,11 +14,12 @@
 //!   concurrent threads (the server's requests) all file into one tree.
 //!   Span bookkeeping allocates only when a path first appears under a
 //!   root, never per instance.
-//! * **Counters** ([`Counter`], [`count`], [`span_add`]) — a closed
-//!   registry of monotonic `AtomicU64`s, summed across every thread
-//!   that records.
+//! * **Counters** ([`Counter`], [`span_add`]) — a closed registry of
+//!   monotonic counts, each increment kept in the innermost open span's
+//!   node; a counter's total is its sum over the aggregated span tree.
 //! * **Histograms** ([`Hist`], [`record`]) — log2-bucketed distributions
-//!   (component sizes, greedy pick coverage).
+//!   (component sizes, greedy pick coverage), kept in a fixed block per
+//!   thread call tree and drained into the aggregate when a root closes.
 //! * **Memory** (`mc3-memprof`, the `memprof` module) — a tracking
 //!   `#[global_allocator]` that attributes allocation counts, bytes and
 //!   live-byte peaks to the current span, exactly-deterministically for
@@ -26,8 +27,13 @@
 //!   The hook writes only its own thread's cells; every memory figure in
 //!   a report is read off the span tree.
 //!
-//! The hard rule: **when no [`Session`] is recording, everything is a
-//! no-op behind one relaxed atomic load** ([`is_enabled`]). Solver crates
+//! The span tree is the one store: a count, an observation or an
+//! allocation is written once, on its own thread, and reaches the
+//! process-wide aggregate only when its root closes, under the lock that
+//! close takes anyway. Hence the first rule: **nothing outside an open
+//! span is recorded.** The second: **when no [`Session`] is recording,
+//! everything is a no-op behind one relaxed atomic load**
+//! ([`is_enabled`]). Solver crates
 //! can therefore instrument their innermost loops unconditionally. The
 //! companion `mc3-audit` rule `no-bare-instant` keeps ad-hoc timing from
 //! creeping back in: library code times things through [`timed_span`],
@@ -58,13 +64,12 @@ mod report;
 mod spans;
 
 pub use counters::{
-    bucket_bounds, bucket_of, count, hist_count, record, total, Counter, Hist, COUNTER_NAMES,
-    HIST_BUCKETS, HIST_NAMES,
+    bucket_bounds, bucket_of, Counter, Hist, COUNTER_NAMES, HIST_BUCKETS, HIST_NAMES,
 };
 pub use memprof::peak_rss_bytes;
 pub use report::{HistogramData, SpanData, SpanMem, TelemetryReport, REPORT_VERSION};
 pub use spans::{
-    current_span_path, open_span_depth, span, span_add, timed_span, SpanGuard, TimedSpan,
+    current_span_path, open_span_depth, record, span, span_add, timed_span, SpanGuard, TimedSpan,
 };
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -99,8 +104,8 @@ pub fn monotonic_ns() -> u64 {
 
 /// An exclusive recording session.
 ///
-/// [`Session::begin`] takes a process-wide lock, zeroes all counters,
-/// histograms and the span aggregate, and opens the gate;
+/// [`Session::begin`] takes a process-wide lock, clears the aggregate
+/// (span trees and histograms) and opens the gate;
 /// [`Session::finish`] closes the gate and returns the [`TelemetryReport`].
 /// Dropping a session without finishing it still closes the gate. Because
 /// state is global, concurrent would-be sessions block on `begin` until
@@ -114,18 +119,17 @@ impl Session {
     /// Starts recording from a clean slate.
     pub fn begin() -> Session {
         let lock = SESSION.lock().unwrap_or_else(|p| p.into_inner());
-        counters::reset();
-        spans::aggregate().clear();
+        *spans::aggregate() = spans::Aggregate::EMPTY;
         ENABLED.store(true, Ordering::SeqCst);
         Session { _lock: lock }
     }
 
-    /// Stops recording and assembles the report. Counter totals remain
-    /// readable via [`total`] until the next `begin` resets them.
+    /// Stops recording and assembles the report of every root closed
+    /// so far.
     pub fn finish(self) -> TelemetryReport {
         ENABLED.store(false, Ordering::SeqCst);
-        let roots = std::mem::take(&mut *spans::aggregate());
-        report::assemble(roots)
+        let aggregate = std::mem::replace(&mut *spans::aggregate(), spans::Aggregate::EMPTY);
+        report::assemble(aggregate)
     }
 }
 
@@ -135,13 +139,14 @@ impl Drop for Session {
     }
 }
 
-/// The report of everything recorded so far, taken without ending the
-/// session: the span aggregate as it stands, with its memory tallies,
-/// plus the current counter and histogram totals. A server that holds
-/// one session for its lifetime renders `/metrics` from this; the totals
-/// only grow while the session lasts, as a Prometheus scraper assumes.
+/// The report of every root closed so far, taken without ending the
+/// session: the aggregate as it stands, with its memory tallies, counter
+/// totals and histograms. A server that holds one session for its
+/// lifetime renders `/metrics` from this; the totals only grow while the
+/// session lasts, as a Prometheus scraper assumes, and a request's counts
+/// show once its root closes.
 pub fn live_report() -> TelemetryReport {
-    // Bound first, so the lock is released before assembly reads the rest.
-    let roots = spans::aggregate().clone();
-    report::assemble(roots)
+    // Bound first, so the lock is released before assembly.
+    let aggregate = spans::aggregate().clone();
+    report::assemble(aggregate)
 }

@@ -4,15 +4,15 @@
 //! and [`live_report`](crate::live_report) return: every closed root's
 //! call tree merged by span path (wall times and counters summed, instance
 //! counts kept) by the one merge every closed root goes through,
-//! [`merge_into`], every registered counter — zeros included — and every
-//! registered histogram. The JSON schema is
+//! [`merge_into`], every registered counter's total over that tree —
+//! zeros included — and every registered histogram. The JSON schema is
 //! versioned and strict: [`TelemetryReport::from_json`] rejects a report
 //! that is missing any *registered* counter or histogram name, which is
 //! the schema-drift guard CI leans on (see `docs/observability.md`).
 
-use crate::counters::{self, Counter, Hist, COUNTER_NAMES, HIST_NAMES};
+use crate::counters::{self, Hist, COUNTER_NAMES, HIST_NAMES};
 use crate::memprof;
-use crate::spans::Node;
+use crate::spans::{Aggregate, Node};
 use mc3_core::json::Json;
 use mc3_core::u32_of;
 use std::collections::BTreeMap;
@@ -184,24 +184,36 @@ pub(crate) fn merge_into(siblings: &mut Vec<SpanData>, tree: &[Node], link: u32)
     merge_into(&mut slot.children, tree, node.first_child);
 }
 
-/// A report of `spans` and the current registry totals; the live-byte
-/// peak is read off the roots.
-pub(crate) fn assemble(spans: Vec<SpanData>) -> TelemetryReport {
+/// Adds every counter of `spans` and their descendants into `totals`.
+fn sum_counters(spans: &[SpanData], totals: &mut BTreeMap<String, u64>) {
+    for s in spans {
+        for (name, &v) in &s.counters {
+            if let Some(total) = totals.get_mut(name) {
+                *total = total.saturating_add(v);
+            }
+        }
+        sum_counters(&s.children, totals);
+    }
+}
+
+/// The report of an aggregate: every registered counter's total is its
+/// sum over the span tree, and the live-byte peak is read off the roots.
+pub(crate) fn assemble(Aggregate { roots, hists }: Aggregate) -> TelemetryReport {
+    let mut counters: BTreeMap<String, u64> =
+        COUNTER_NAMES.iter().map(|&n| (n.to_owned(), 0)).collect();
+    sum_counters(&roots, &mut counters);
     TelemetryReport {
-        peak_live_bytes: spans
+        peak_live_bytes: roots
             .iter()
             .map(|s| s.mem.peak_live_bytes)
             .max()
             .unwrap_or(0),
-        spans,
-        counters: Counter::ALL
-            .iter()
-            .map(|&c| (c.name().to_owned(), counters::total(c)))
-            .collect(),
+        spans: roots,
+        counters,
         histograms: Hist::ALL
             .iter()
             .map(|&h| {
-                let (count, sum, buckets) = counters::hist_raw(h);
+                let (count, sum, buckets) = counters::hist_row(&hists, h);
                 HistogramData {
                     name: h.name().to_owned(),
                     count,
@@ -655,6 +667,7 @@ impl TelemetryReport {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Counter;
 
     /// One closed instance of `name` under `parent` in a call tree
     /// (`None`: the root, node 0), with figures derived from `wall`;
@@ -895,16 +908,25 @@ mod tests {
     }
 
     #[test]
-    fn assembled_peak_is_the_largest_root_peak() {
+    fn assembled_peak_is_the_largest_root_peak_and_counters_sum_the_tree() {
         let mut roots = Vec::new();
         merge_into(&mut roots, &root("a", 100, ("a.big", 90_000)), 0);
         let mut b = Vec::new();
         instance(&mut b, None, "b", 3_000);
         merge_into(&mut roots, &b, 0);
+        let report = assemble(Aggregate {
+            roots,
+            ..Aggregate::EMPTY
+        });
         // Only top-level nodes are read: a real child's peak already
         // surfaces in its root's.
-        assert_eq!(assemble(roots).peak_live_bytes, 1_500);
-        assert_eq!(assemble(Vec::new()).peak_live_bytes, 0);
+        assert_eq!(report.peak_live_bytes, 1_500);
+        // Every node counts: `a`, `a/a.big` and `b` add 2 each.
+        assert_eq!(report.counters["dinic_phases"], 6);
+        assert_eq!(report.counters.len(), COUNTER_NAMES.len());
+        let empty = assemble(Aggregate::EMPTY);
+        assert_eq!(empty.peak_live_bytes, 0);
+        assert!(empty.counters.values().all(|&v| v == 0));
     }
 
     #[test]

@@ -1,15 +1,20 @@
 //! The hierarchical span collector and the one place closed spans go.
 //!
 //! Each thread keeps one call tree: a flat arena of nodes keyed by
-//! (parent node, name), plus a stack of open frames. Opening a span finds
-//! or adds its node and pushes a frame; closing it folds the instance's
-//! wall time, count and memory tally into that node, and [`span_add`]
-//! adds counter increments straight into the innermost open node. So a
-//! span tree exists in one form from open to report: closing a span with
-//! no parent (a per-thread root) merges the thread's tree into the
-//! process-wide aggregate, by path, under one lock, and empties the tree
-//! for the next root, keeping its capacity. That aggregate is the only
-//! destination of a closed root:
+//! (parent node, name), a stack of open frames and one fixed histogram
+//! block. Opening a span finds or adds its node and pushes a frame;
+//! closing it folds the instance's wall time, count and memory tally into
+//! that node. [`span_add`] adds a counter increment straight into the
+//! innermost open node and [`record`] adds a histogram observation into
+//! the block; with no span open, both record nothing. So everything a
+//! session records exists in one form from open to report: closing a
+//! span with no parent (a per-thread root) merges the thread's tree into
+//! the process-wide aggregate, by path, and drains its histogram block
+//! into the aggregate's, under one lock, and empties the tree for the
+//! next root, keeping its capacity. A counter's total is the sum of its
+//! increments over the aggregated tree, so counters and histograms reach
+//! the aggregate when their root closes, never before. That aggregate is
+//! the only destination of a closed root:
 //! [`Session::begin`](crate::Session::begin) clears it,
 //! [`Session::finish`](crate::Session::finish) takes it, and
 //! [`live_report`](crate::live_report) copies it while a long-lived
@@ -26,7 +31,7 @@
 //! without touching the thread-local at all — the disabled path is one
 //! relaxed atomic load.
 
-use crate::counters::{Counter, N_COUNTERS};
+use crate::counters::{self, Counter, Hist, HistBlock, EMPTY_HISTS, N_COUNTERS};
 use crate::memprof::{self, SpanMemState};
 use crate::report::{self, SpanData, SpanMem};
 use mc3_core::u32_of;
@@ -119,10 +124,12 @@ struct Frame {
     mem_state: SpanMemState,
 }
 
-/// This thread's call tree and its open frames, innermost last.
+/// This thread's call tree, its open frames (innermost last) and the
+/// histogram observations made under its open root.
 struct CallTree {
     nodes: Vec<Node>,
     stack: Vec<Frame>,
+    hists: HistBlock,
 }
 
 thread_local! {
@@ -130,16 +137,31 @@ thread_local! {
         RefCell::new(CallTree {
             nodes: Vec::new(),
             stack: Vec::new(),
+            hists: EMPTY_HISTS,
         })
     };
 }
 
-/// Every root closed while a session recorded, from all threads, merged.
-static AGGREGATE: Mutex<Vec<SpanData>> = Mutex::new(Vec::new());
+/// Every root closed while a session recorded, from all threads, merged:
+/// the span trees by path and the histogram blocks cell by cell.
+#[derive(Clone)]
+pub(crate) struct Aggregate {
+    pub(crate) roots: Vec<SpanData>,
+    pub(crate) hists: HistBlock,
+}
+
+impl Aggregate {
+    pub(crate) const EMPTY: Aggregate = Aggregate {
+        roots: Vec::new(),
+        hists: EMPTY_HISTS,
+    };
+}
+
+static AGGREGATE: Mutex<Aggregate> = Mutex::new(Aggregate::EMPTY);
 
 /// The locked aggregate: sessions clear it at begin and take it at
 /// finish, live reports copy it.
-pub(crate) fn aggregate() -> std::sync::MutexGuard<'static, Vec<SpanData>> {
+pub(crate) fn aggregate() -> std::sync::MutexGuard<'static, Aggregate> {
     AGGREGATE.lock().unwrap_or_else(|p| p.into_inner())
 }
 
@@ -157,7 +179,9 @@ fn close_current(wall_override: Option<Duration>) {
             node.close_instance(duration_ns(wall), &mem);
         }
         if tree.stack.is_empty() {
-            report::merge_into(&mut aggregate(), &tree.nodes, 0);
+            let agg = &mut *aggregate();
+            report::merge_into(&mut agg.roots, &tree.nodes, 0);
+            counters::drain_into(&mut agg.hists, &mut tree.hists);
             tree.nodes.clear();
         }
     });
@@ -222,20 +246,36 @@ pub fn span(name: &'static str) -> SpanGuard {
     SpanGuard { active: true }
 }
 
-/// Adds `n` to a global counter *and* attributes it to the innermost open
-/// span on this thread (if any), so the rendered tree can show where the
-/// work happened. Gated like [`count`](crate::count).
+/// Adds `n` to counter `c` in the innermost open span on this thread, so
+/// the rendered tree shows where the work happened; the counter's total
+/// is the sum over the tree. Records nothing when no span is open, and is
+/// one relaxed atomic load when no session is recording.
 pub fn span_add(c: Counter, n: u64) {
     if !crate::is_enabled() {
         return;
     }
-    crate::counters::raw_add(c, n);
     TREE.with(|t| {
         let tree = &mut *t.borrow_mut();
         if let Some(top) = tree.stack.last() {
             if let Some(node) = tree.nodes.get_mut(top.node as usize) {
                 node.add(c, n);
             }
+        }
+    });
+}
+
+/// Records one observation `v` into histogram `h` under this thread's
+/// open root; it reaches the aggregate when that root closes. Gated and
+/// scoped like [`span_add`]: nothing is recorded outside an open span.
+#[inline]
+pub fn record(h: Hist, v: u64) {
+    if !crate::is_enabled() {
+        return;
+    }
+    TREE.with(|t| {
+        let tree = &mut *t.borrow_mut();
+        if !tree.stack.is_empty() {
+            counters::observe(&mut tree.hists, h, v);
         }
     });
 }

@@ -1,7 +1,8 @@
 //! Property-based tests of the telemetry substrate: span trees are
-//! well-nested, counter totals are monotone and sum-exact, the disabled
-//! gate records nothing, histogram buckets tile `u64`, and reports
-//! survive a JSON round trip byte-exactly.
+//! well-nested, counter totals are monotone and sum-exact, nothing
+//! outside an open span is recorded, the disabled gate records nothing,
+//! histogram buckets tile `u64`, and reports survive a JSON round trip
+//! byte-exactly.
 //!
 //! Seeded-loop style (the workspace builds offline, without `proptest`):
 //! each test replays a few hundred deterministic random cases from
@@ -14,7 +15,7 @@
 
 use mc3_core::rng::prelude::*;
 use mc3_telemetry::{
-    bucket_bounds, bucket_of, count, open_span_depth, record, span, span_add, timed_span, total,
+    bucket_bounds, bucket_of, live_report, open_span_depth, record, span, span_add, timed_span,
     Counter, Hist, HistogramData, Session, SpanData, SpanMem, TelemetryReport, COUNTER_NAMES,
     HIST_BUCKETS,
 };
@@ -70,10 +71,13 @@ fn random_span_trees_are_well_nested_and_counts_are_exact() {
                     closed += 1;
                 }
                 _ => {
+                    // An increment with no span open is recorded nowhere.
                     let c = Counter::ALL[rng.gen_range(0..Counter::ALL.len())];
                     let n = rng.gen_range(0..100u64);
                     span_add(c, n);
-                    *expected.entry(c.name()).or_insert(0) += n;
+                    if !open.is_empty() {
+                        *expected.entry(c.name()).or_insert(0) += n;
+                    }
                 }
             }
         }
@@ -117,18 +121,22 @@ fn counter_totals_are_monotone_under_increments() {
         let mut rng = StdRng::seed_from_u64(0xBEEF ^ seed);
         let session = Session::begin();
         let c = Counter::ALL[rng.gen_range(0..Counter::ALL.len())];
-        let mut last = total(c);
+        let total = || live_report().counters[c.name()];
+        let mut last = total();
         assert_eq!(last, 0, "seed {seed}: session begin resets counters");
         let mut sum = 0u64;
         for _ in 0..rng.gen_range(1..40usize) {
             let n = rng.gen_range(0..1000u64);
-            count(c, n);
+            {
+                let _root = span("increment");
+                span_add(c, n);
+            }
             sum += n;
-            let now = total(c);
+            let now = total();
             assert!(now >= last, "seed {seed}: counter went backwards");
             last = now;
         }
-        assert_eq!(total(c), sum, "seed {seed}: final total is the exact sum");
+        assert_eq!(total(), sum, "seed {seed}: final total is the exact sum");
         let report = session.finish();
         assert_eq!(report.counters[c.name()], sum);
     }
@@ -140,6 +148,7 @@ fn disabled_gate_records_nothing() {
     // Reset global state, then make sure the gate is off.
     drop(Session::begin().finish());
     assert!(!mc3_telemetry::is_enabled());
+    let before = live_report();
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(0xD15AB1ED ^ seed);
         let c = Counter::ALL[rng.gen_range(0..Counter::ALL.len())];
@@ -150,17 +159,19 @@ fn disabled_gate_records_nothing() {
             0,
             "seed {seed}: disabled span must not open"
         );
-        count(c, rng.gen_range(1..50u64));
         span_add(c, rng.gen_range(1..50u64));
         record(h, rng.gen_range(0..1000u64));
         let t = timed_span("disabled.timed");
         assert_eq!(open_span_depth(), 0);
         let wall = t.finish();
         assert!(wall.as_nanos() < u128::MAX);
-        assert_eq!(total(c), 0, "seed {seed}: disabled counter moved");
+        let now = live_report();
         assert_eq!(
-            mc3_telemetry::hist_count(h),
-            0,
+            now.counters, before.counters,
+            "seed {seed}: disabled counter moved"
+        );
+        assert_eq!(
+            now.histograms, before.histograms,
             "seed {seed}: disabled hist moved"
         );
     }
@@ -210,12 +221,17 @@ fn histogram_count_and_sum_match_recorded_values() {
         let session = Session::begin();
         let mut n = 0u64;
         let mut sum = 0u64;
-        for _ in 0..rng.gen_range(0..64usize) {
-            let v = rng.gen_range(0..10_000u64);
-            record(Hist::ComponentSize, v);
-            n += 1;
-            sum += v;
+        {
+            let _root = span("observe");
+            for _ in 0..rng.gen_range(0..64usize) {
+                let v = rng.gen_range(0..10_000u64);
+                record(Hist::ComponentSize, v);
+                n += 1;
+                sum += v;
+            }
         }
+        // An observation with no span open is recorded nowhere.
+        record(Hist::ComponentSize, rng.gen_range(0..10_000u64));
         let report = session.finish();
         let h = report
             .histograms
