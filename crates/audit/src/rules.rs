@@ -287,9 +287,8 @@ fn rule_no_bare_instant(file: &str, sf: &SyntaxFile, out: &mut Vec<Violation>) {
 const PRINT_EXEMPT_PREFIXES: [&str; 3] = ["crates/cli/", "crates/bench/", "crates/audit/"];
 
 /// `print!`/`println!`/`eprint!`/`eprintln!` in library crates: ad-hoc
-/// writes bypass the leveled, rate-limited `mc3-obs` event log (no
-/// sequence numbers, no span context, no way to silence them in a serving
-/// process). Binaries keep stdout for their actual output, so `cli`,
+/// writes bypass the leveled `mc3-obs` event log (no span context, no
+/// request id, no way to silence them in a serving process). Binaries keep stdout for their actual output, so `cli`,
 /// `bench` and `audit` — plus `src/bin/` targets and `main.rs` anywhere —
 /// are exempt.
 fn rule_no_raw_eprintln(file: &str, sf: &SyntaxFile, out: &mut Vec<Violation>) {
@@ -312,7 +311,7 @@ fn rule_no_raw_eprintln(file: &str, sf: &SyntaxFile, out: &mut Vec<Violation>) {
                 line: t.line,
                 message: format!(
                     "{}! in library code; emit a leveled mc3_obs event (debug/info/warn/error) \
-                     so diagnostics carry span context and respect rate limits",
+                     so diagnostics carry span context and honour MC3_LOG",
                     t.text
                 ),
             });

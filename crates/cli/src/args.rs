@@ -80,8 +80,7 @@ pub enum Command {
         mem: bool,
     },
     /// `mc3 bench-gate --baseline FILE [--candidate FILE] [--update]
-    /// [--wall-tol X] [--counter-tol X] [--kind K] [--queries N] [--seed S]
-    /// [--algorithm A]`
+    /// [--wall-tol X] [--kind K] [--queries N] [--seed S] [--algorithm A]`
     BenchGate {
         /// Baseline JSON path (spec + known-good report).
         baseline: String,
@@ -92,8 +91,6 @@ pub enum Command {
         update: bool,
         /// Override the wall-time regression tolerance.
         wall_tol: Option<f64>,
-        /// Override the counter drift tolerance.
-        counter_tol: Option<f64>,
         /// Workload generator override (only meaningful with `--update`).
         kind: Option<GeneratorKind>,
         /// Workload size override (only meaningful with `--update`).
@@ -102,8 +99,6 @@ pub enum Command {
         seed: Option<u64>,
         /// Algorithm override (only meaningful with `--update`).
         algorithm: Option<Algorithm>,
-        /// Skip the exact per-span allocation-count checks.
-        no_mem: bool,
     },
     /// `mc3 verify DATASET SOLUTION`
     Verify {
@@ -182,8 +177,8 @@ USAGE:
               [--algorithm <A>] [--json <FILE>] [--top <N>]
               [--chrome <FILE>] [--prom <FILE>] [--mem]
   mc3 bench-gate --baseline <FILE> [--candidate <FILE>] [--update]
-                 [--wall-tol <X>] [--counter-tol <X>] [--no-mem] [--kind <K>]
-                 [--queries <N>] [--seed <S>] [--algorithm <A>]
+                 [--wall-tol <X>] [--kind <K>] [--queries <N>] [--seed <S>]
+                 [--algorithm <A>]
   mc3 verify <DATASET.json> <SOLUTION.json>
   mc3 audit <DATASET.json> <SOLUTION.json>
   mc3 parse <QUERIES.txt> [--uniform-cost <N> | --cost-range <LO..HI> [--seed <S>]]
@@ -356,20 +351,16 @@ impl Cli {
                 let mut candidate = None;
                 let mut update = false;
                 let mut wall_tol = None;
-                let mut counter_tol = None;
                 let mut kind = None;
                 let mut queries = None;
                 let mut seed = None;
                 let mut algorithm = None;
-                let mut no_mem = false;
                 while let Some(flag) = s.next().map(str::to_owned) {
                     match flag.as_str() {
                         "--baseline" => baseline = Some(s.value_of("--baseline")?),
                         "--candidate" => candidate = Some(s.value_of("--candidate")?),
                         "--update" => update = true,
-                        "--no-mem" => no_mem = true,
                         "--wall-tol" => wall_tol = Some(s.parsed("--wall-tol")?),
-                        "--counter-tol" => counter_tol = Some(s.parsed("--counter-tol")?),
                         "--kind" => kind = Some(GeneratorKind::parse(&s.value_of("--kind")?)?),
                         "--queries" => queries = Some(s.parsed("--queries")?),
                         "--seed" => seed = Some(s.parsed("--seed")?),
@@ -387,12 +378,10 @@ impl Cli {
                     candidate,
                     update,
                     wall_tol,
-                    counter_tol,
                     kind,
                     queries,
                     seed,
                     algorithm,
-                    no_mem,
                 }
             }
             "verify" => {
@@ -714,8 +703,6 @@ mod tests {
             "BENCH_baseline.json",
             "--wall-tol",
             "2.5",
-            "--counter-tol",
-            "0.1",
         ])
         .unwrap();
         match cli.command {
@@ -724,16 +711,12 @@ mod tests {
                 candidate,
                 update,
                 wall_tol,
-                counter_tol,
-                no_mem,
                 ..
             } => {
                 assert_eq!(baseline, "BENCH_baseline.json");
                 assert_eq!(candidate, None);
                 assert!(!update);
                 assert_eq!(wall_tol, Some(2.5));
-                assert_eq!(counter_tol, Some(0.1));
-                assert!(!no_mem);
             }
             other => panic!("wrong command: {other:?}"),
         }
@@ -750,7 +733,6 @@ mod tests {
             "11",
             "--algorithm",
             "auto",
-            "--no-mem",
         ])
         .unwrap();
         match cli.command {
@@ -760,7 +742,6 @@ mod tests {
                 queries,
                 seed,
                 algorithm,
-                no_mem,
                 ..
             } => {
                 assert!(update);
@@ -768,12 +749,17 @@ mod tests {
                 assert_eq!(queries, Some(300));
                 assert_eq!(seed, Some(11));
                 assert_eq!(algorithm, Some(Algorithm::Auto));
-                assert!(no_mem);
             }
             other => panic!("wrong command: {other:?}"),
         }
-        // --baseline is required; --candidate and --update conflict
+        // --baseline is required; --candidate and --update conflict;
+        // counters and memory are always exact, so there is no knob for them
         assert!(Cli::parse(["bench-gate"]).is_err());
+        let err =
+            Cli::parse(["bench-gate", "--baseline", "b.json", "--counter-tol", "0.1"]).unwrap_err();
+        assert!(err.contains("--counter-tol"), "{err}");
+        let err = Cli::parse(["bench-gate", "--baseline", "b.json", "--no-mem"]).unwrap_err();
+        assert!(err.contains("--no-mem"), "{err}");
         assert!(Cli::parse([
             "bench-gate",
             "--baseline",

@@ -68,23 +68,19 @@ pub fn run(cli: &Cli) -> Result<String, String> {
             candidate,
             update,
             wall_tol,
-            counter_tol,
             kind,
             queries,
             seed,
             algorithm,
-            no_mem,
         } => bench_gate(
             baseline,
             candidate.as_deref(),
             *update,
             *wall_tol,
-            *counter_tol,
             *kind,
             *queries,
             *seed,
             *algorithm,
-            *no_mem,
         ),
         Command::Verify { dataset, solution } => verify(dataset, solution),
         Command::Audit { dataset, solution } => audit(dataset, solution),
@@ -381,12 +377,10 @@ fn bench_gate(
     candidate: Option<&str>,
     update: bool,
     wall_tol: Option<f64>,
-    counter_tol: Option<f64>,
     kind: Option<GeneratorKind>,
     queries: Option<u64>,
     seed: Option<u64>,
     algorithm: Option<mc3_solver::Algorithm>,
-    no_mem: bool,
 ) -> Result<String, String> {
     let baseline_text = match std::fs::read_to_string(baseline_path) {
         Ok(text) => Some(text),
@@ -459,10 +453,6 @@ fn bench_gate(
     if let Some(t) = wall_tol {
         cfg.wall_tol = t;
     }
-    if let Some(t) = counter_tol {
-        cfg.counter_tol = t;
-    }
-    cfg.check_mem = !no_mem;
     let outcome = mc3_obs::compare(&baseline.report, &cand_report, &cfg);
     let text = outcome.render();
     if outcome.passed() {

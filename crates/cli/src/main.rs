@@ -16,17 +16,13 @@ fn init_event_log() {
         eprintln!("warning: MC3_LOG level '{level}' is not debug|info|warn|error; event log off");
         return;
     };
-    let cfg = mc3_obs::EventLogConfig {
-        min_level,
-        ..Default::default()
-    };
     match path {
         Some(p) => {
-            if let Err(e) = mc3_obs::events::install_file(p, cfg) {
+            if let Err(e) = mc3_obs::events::install_file(p, min_level) {
                 eprintln!("warning: MC3_LOG: cannot open '{p}': {e}; event log off");
             }
         }
-        None => mc3_obs::events::install_stderr(cfg),
+        None => mc3_obs::events::install_stderr(min_level),
     }
 }
 

@@ -1,6 +1,6 @@
 //! End-to-end check of the `MC3_LOG` event-log hookup: run the real `mc3`
 //! binary with the sink enabled and assert well-formed JSONL events show
-//! up with monotonically increasing sequence numbers.
+//! up, one request-level event per line, with no rate-limiter fields.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -53,19 +53,14 @@ fn mc3_log_env_writes_jsonl_events_to_file() {
         !lines.is_empty(),
         "solve must emit at least one debug event"
     );
-    let mut prev_seq: i128 = -1;
     for line in &lines {
         let j = mc3_core::json::parse(line).expect("each line is one JSON object");
-        for key in ["seq", "ts_ns", "level", "target", "msg"] {
+        for key in ["ts_ns", "level", "target", "msg"] {
             assert!(j.get(key).is_some(), "event missing '{key}': {line}");
         }
-        let seq = i128::from(
-            j.get("seq")
-                .and_then(mc3_core::json::Json::as_u64)
-                .expect("seq"),
-        );
-        assert!(seq > prev_seq, "sequence numbers must increase: {text}");
-        prev_seq = seq;
+        for key in ["seq", "dropped"] {
+            assert!(j.get(key).is_none(), "event carries '{key}': {line}");
+        }
     }
     // The dataset parse and at least one solver event use distinct targets.
     assert!(text.contains("\"target\":\"workload\""), "{text}");

@@ -66,15 +66,6 @@ impl<'a> Dinic<'a> {
         mc3_telemetry::span_add(mc3_telemetry::Counter::DinicPhases, phases);
         mc3_telemetry::span_add(mc3_telemetry::Counter::DinicAugmentingPaths, paths);
         mc3_telemetry::span_add(mc3_telemetry::Counter::DinicBfsVisits, visits);
-        mc3_obs::debug(
-            "flow",
-            "dinic max-flow done",
-            &[
-                ("value", flow.into()),
-                ("phases", phases.into()),
-                ("augmenting_paths", paths.into()),
-            ],
-        );
         // Closed before the certificate check, so `verify.max_flow` sits
         // beside the kernel span and the kernel's tallies stay its own.
         drop(span);

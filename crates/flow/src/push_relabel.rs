@@ -77,16 +77,6 @@ impl<'a> PushRelabel<'a> {
         mc3_telemetry::span_add(mc3_telemetry::Counter::PrPushes, self.pushes);
         mc3_telemetry::span_add(mc3_telemetry::Counter::PrRelabels, self.relabels);
         mc3_telemetry::span_add(mc3_telemetry::Counter::PrGapFirings, self.gap_firings);
-        mc3_obs::debug(
-            "flow",
-            "push-relabel max-flow done",
-            &[
-                ("value", self.excess[t].into()),
-                ("pushes", self.pushes.into()),
-                ("relabels", self.relabels.into()),
-                ("gap_firings", self.gap_firings.into()),
-            ],
-        );
         // Closed before the certificate check, so `verify.max_flow` sits
         // beside the kernel span and the kernel's tallies stay its own.
         drop(span);

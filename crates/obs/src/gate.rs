@@ -9,19 +9,17 @@
 //!   tolerance ([`GateConfig::wall_tol`]) and an absolute floor
 //!   ([`GateConfig::min_wall_ns`]) so scheduler jitter on tiny spans
 //!   cannot flake the gate. Getting *faster* never fails.
-//! * **solver-internals counters** — symmetric and strict by default
-//!   ([`GateConfig::counter_tol`] = 0): greedy iterations, Dinic phases,
+//! * **solver-internals counters** — exact: greedy iterations, Dinic phases,
 //!   push-relabel relabels, preprocessing firings and the rest of the
 //!   registry are deterministic for a pinned workload, so *any* drift is a
 //!   behavior change that must be acknowledged by re-baselining
 //!   (`mc3 bench-gate --baseline FILE --update`).
 //! * **allocation counts and bytes per span path** — *exact*, no
-//!   tolerance and no size floor ([`GateConfig::check_mem`], on by
-//!   default). Unlike wall time, the allocator trace of a pinned
-//!   single-threaded workload is fully deterministic, so the memory axis
-//!   is the one signal the gate can pin to the byte; a kernel quietly
-//!   growing a buffer per iteration trips the gate even when wall time
-//!   hides inside the jitter tolerance.
+//!   tolerance and no size floor. Unlike wall time, the allocator trace
+//!   of a pinned single-threaded workload is fully deterministic, so the
+//!   memory axis is the one signal the gate can pin to the byte; a kernel
+//!   quietly growing a buffer per iteration trips the gate even when wall
+//!   time hides inside the jitter tolerance.
 //!
 //! Every violation names the offending span path or counter with both
 //! values, which is what the CI log shows when the gate trips.
@@ -131,27 +129,16 @@ pub struct GateConfig {
     /// when `candidate > baseline × (1 + wall_tol)`. `1.0` = may take up
     /// to 2× the baseline.
     pub wall_tol: f64,
-    /// Relative counter drift tolerance, symmetric: candidate fails when
-    /// `|candidate − baseline| > baseline × counter_tol` (a zero baseline
-    /// admits only zero at tolerance 0). `0.0` = exact match required.
-    pub counter_tol: f64,
     /// Spans whose **baseline** wall time is below this are not wall-time
-    /// checked (their counters still are, via the report's counter totals).
+    /// checked (their counters and allocations still are).
     pub min_wall_ns: u64,
-    /// Whether to gate on the memory axis: exact per-span-path allocation
-    /// counts and bytes (no tolerance, no floor — allocator traces of a
-    /// pinned workload are deterministic). `mc3 bench-gate --no-mem`
-    /// turns this off.
-    pub check_mem: bool,
 }
 
 impl Default for GateConfig {
     fn default() -> GateConfig {
         GateConfig {
             wall_tol: 1.0,
-            counter_tol: 0.0,
             min_wall_ns: 200_000,
-            check_mem: true,
         }
     }
 }
@@ -170,7 +157,7 @@ pub enum GateViolation {
         /// The tolerance that was exceeded.
         tol: f64,
     },
-    /// A registered counter drifted outside the tolerance.
+    /// A registered counter's total changed (counters are exact).
     CounterDrift {
         /// Counter wire name.
         name: String,
@@ -178,8 +165,6 @@ pub enum GateViolation {
         baseline: u64,
         /// Candidate total.
         candidate: u64,
-        /// The tolerance that was exceeded.
-        tol: f64,
     },
     /// A span present in the baseline vanished from the candidate.
     MissingSpan {
@@ -234,12 +219,10 @@ impl GateViolation {
                 name,
                 baseline,
                 candidate,
-                tol,
             } => format!(
                 "  └─ {name}: counter {baseline} -> {candidate} \
-                 (Δ {}, tolerance ±{:.1}%)",
-                signed(*baseline, *candidate),
-                tol * 100.0
+                 (Δ {}, exact gate — re-baseline to accept)",
+                signed(*baseline, *candidate)
             ),
             GateViolation::MissingSpan { path } => {
                 format!("  └─ {path}: span recorded in baseline, absent from candidate")
@@ -277,11 +260,10 @@ impl fmt::Display for GateViolation {
                 name,
                 baseline,
                 candidate,
-                tol,
             } => write!(
                 f,
                 "counter '{name}': drifted {baseline} -> {candidate} \
-                 (relative tolerance {tol:.2})"
+                 (counters are exact; re-record the baseline to accept)"
             ),
             GateViolation::MissingSpan { path } => {
                 write!(
@@ -384,19 +366,17 @@ pub fn compare(
             Some(cand) => {
                 // Memory first: exact, no jitter floor — the allocator
                 // trace of a pinned workload is deterministic.
-                if cfg.check_mem {
-                    for (field, b, c) in [
-                        ("allocs", base.allocs, cand.allocs),
-                        ("alloc_bytes", base.alloc_bytes, cand.alloc_bytes),
-                    ] {
-                        if b != c {
-                            violations.push(GateViolation::MemDrift {
-                                path: path.clone(),
-                                field,
-                                baseline: b,
-                                candidate: c,
-                            });
-                        }
+                for (field, b, c) in [
+                    ("allocs", base.allocs, cand.allocs),
+                    ("alloc_bytes", base.alloc_bytes, cand.alloc_bytes),
+                ] {
+                    if b != c {
+                        violations.push(GateViolation::MemDrift {
+                            path: path.clone(),
+                            field,
+                            baseline: b,
+                            candidate: c,
+                        });
                     }
                 }
                 if base.wall_ns < cfg.min_wall_ns {
@@ -420,13 +400,11 @@ pub fn compare(
     for (name, &base) in &baseline.counters {
         let cand = candidate.counters.get(name).copied().unwrap_or(0);
         counters_checked += 1;
-        let drift = cand.abs_diff(base);
-        if drift as f64 > base as f64 * cfg.counter_tol {
+        if cand != base {
             violations.push(GateViolation::CounterDrift {
                 name: name.clone(),
                 baseline: base,
                 candidate: cand,
-                tol: cfg.counter_tol,
             });
         }
     }
@@ -512,7 +490,7 @@ mod tests {
     }
 
     #[test]
-    fn counter_drift_is_strict_and_symmetric_by_default() {
+    fn counter_drift_is_exact_in_both_directions() {
         let base = report(10_000_000, 40);
         for cand_val in [39u64, 41, 80] {
             let cand = report(10_000_000, cand_val);
@@ -520,19 +498,6 @@ mod tests {
             assert!(!out.passed(), "counter {cand_val} must trip the gate");
             assert!(out.render().contains("counter 'greedy_iterations'"));
         }
-    }
-
-    #[test]
-    fn counter_tolerance_admits_bounded_drift() {
-        let base = report(10_000_000, 100);
-        let cfg = GateConfig {
-            counter_tol: 0.10,
-            ..GateConfig::default()
-        };
-        assert!(compare(&base, &report(10_000_000, 110), &cfg).passed());
-        assert!(!compare(&base, &report(10_000_000, 111), &cfg).passed());
-        assert!(compare(&base, &report(10_000_000, 90), &cfg).passed());
-        assert!(!compare(&base, &report(10_000_000, 89), &cfg).passed());
     }
 
     #[test]
@@ -551,23 +516,6 @@ mod tests {
         let mut cand = report(100_000, 40);
         cand.spans[0].mem.alloc_bytes -= 1;
         assert!(!compare(&base, &cand, &GateConfig::default()).passed());
-    }
-
-    #[test]
-    fn no_mem_config_admits_allocation_drift() {
-        let base = report(10_000_000, 40);
-        let mut cand = report(10_000_000, 40);
-        cand.spans[0].mem.allocs += 99;
-        cand.spans[0].mem.alloc_bytes += 4096;
-        let cfg = GateConfig {
-            check_mem: false,
-            ..GateConfig::default()
-        };
-        let out = compare(&base, &cand, &cfg);
-        assert!(out.passed(), "{}", out.render());
-        // With the default config the same drift fails on both fields.
-        let strict = compare(&base, &cand, &GateConfig::default());
-        assert_eq!(strict.violations.len(), 2, "{}", strict.render());
     }
 
     #[test]
@@ -595,7 +543,6 @@ mod tests {
                     name: "greedy_iterations".to_owned(),
                     baseline: 40,
                     candidate: 36,
-                    tol: 0.0,
                 },
                 GateViolation::MissingSpan {
                     path: "solve/solve_core".to_owned(),
@@ -613,8 +560,8 @@ mod tests {
         let expected = "\
 REGRESSION: span 'solve': wall time regressed 10000000ns -> 30000000ns (3.00x, tolerance 2.00x)
   └─ solve: wall 10000000 ns -> 30000000 ns (Δ +20000000 ns, +200.0% vs +100.0% allowed)
-REGRESSION: counter 'greedy_iterations': drifted 40 -> 36 (relative tolerance 0.00)
-  └─ greedy_iterations: counter 40 -> 36 (Δ -4, tolerance ±0.0%)
+REGRESSION: counter 'greedy_iterations': drifted 40 -> 36 (counters are exact; re-record the baseline to accept)
+  └─ greedy_iterations: counter 40 -> 36 (Δ -4, exact gate — re-baseline to accept)
 REGRESSION: span 'solve/solve_core': present in baseline, absent from candidate
   └─ solve/solve_core: span recorded in baseline, absent from candidate
 REGRESSION: span 'solve/solve_core': allocs drifted 10 -> 11 (memory gating is exact; re-record the baseline to accept)

@@ -13,8 +13,8 @@
 //!   span wall-times) in the Prometheus text exposition format, for file
 //!   export today (`mc3 profile --prom FILE`) and a serving-mode scrape
 //!   endpoint later.
-//! * [`events`] — a leveled, rate-limited JSONL event sink with monotonic
-//!   sequence numbers and per-event span context. Library crates emit
+//! * [`events`] — a leveled JSONL event sink that writes every event it
+//!   admits, with per-event span and request-id context. Library crates emit
 //!   diagnostics through it instead of `eprintln!` (the `mc3-audit` rule
 //!   `no-raw-eprintln-in-lib` enforces that).
 //! * [`gate`] — the perf-regression sentinel behind `mc3 bench-gate`:
@@ -35,8 +35,8 @@ pub mod serve_metrics;
 
 pub use chrome::chrome_trace_json;
 pub use events::{
-    access, current_request_id, debug, dropped_total, error, event, info, request_id_scope, warn,
-    EventLogConfig, Level, RequestIdScope, Value,
+    access, current_request_id, debug, error, event, info, request_id_scope, warn, Level,
+    RequestIdScope, Value,
 };
 pub use gate::{compare, BaselineFile, GateConfig, GateOutcome, GateViolation, WorkloadSpec};
 pub use prom::{build_info_text, prometheus_text};

@@ -194,9 +194,7 @@ impl RequestMetrics {
             .unwrap_or(0)
     }
 
-    /// Renders the request-plane families (including the live
-    /// `mc3_log_events_dropped_total` fed by the event-log rate limiter)
-    /// as Prometheus exposition text. The server appends this to
+    /// Renders the request-plane families as Prometheus exposition text. The server appends this to
     /// [`prometheus_text`](crate::prometheus_text) output for a scrape.
     pub fn render(&self) -> String {
         let mut out = String::new();
@@ -285,16 +283,6 @@ impl RequestMetrics {
         // audit:allow(no-relaxed-atomics) reviewed: monotonic counter read for a scrape
         let dropped = self.dropped.load(Ordering::Relaxed);
         let _ = writeln!(out, "mc3_requests_dropped_total {dropped}");
-        let _ = writeln!(
-            out,
-            "# HELP mc3_log_events_dropped_total Events dropped by the JSONL event-log rate limiter since process start."
-        );
-        let _ = writeln!(out, "# TYPE mc3_log_events_dropped_total counter");
-        let _ = writeln!(
-            out,
-            "mc3_log_events_dropped_total {}",
-            crate::events::dropped_total()
-        );
         out
     }
 }
@@ -366,10 +354,6 @@ mod tests {
         // The sum renders in seconds: 1_000 ns + 1 s = 1.000001 s.
         assert!(
             text.contains("mc3_request_latency_seconds_sum{route=\"solve\"} 1.000001"),
-            "{text}"
-        );
-        assert!(
-            text.contains("# TYPE mc3_log_events_dropped_total counter"),
             "{text}"
         );
         assert!(text.contains("mc3_requests_dropped_total 0"), "{text}");

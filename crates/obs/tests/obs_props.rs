@@ -410,7 +410,6 @@ fn server_families_and_build_info_round_trip() {
         }
 
         assert!(samples.contains_key("mc3_inflight_requests"));
-        assert!(samples.contains_key("mc3_log_events_dropped_total"));
     }
 
     // build_info: labels escape cleanly and the value is the constant 1.
@@ -440,9 +439,9 @@ fn server_families_and_build_info_round_trip() {
     }
 }
 
-/// Base report whose counter values and span walls are multiples of 4, so
-/// `base × tol` is an exact integer (and exact in f64) for every tolerance
-/// tested — the pass/fail boundary sits on a representable value.
+/// Base report whose span walls are multiples of 4, so `wall × tol` is an
+/// exact integer (and exact in f64) for every tolerance tested — the
+/// pass/fail boundary sits on a representable value.
 fn gate_base(rng: &mut StdRng) -> TelemetryReport {
     let counters: BTreeMap<String, u64> = (0..5u32)
         .map(|i| (format!("c{i}"), rng.gen_range(1..=1_000u64) * 4))
@@ -488,9 +487,7 @@ fn gate_boundaries_are_exact_at_every_tolerance() {
         for tol in [0.0, 0.25, 0.5, 1.0] {
             let cfg = GateConfig {
                 wall_tol: tol,
-                counter_tol: tol,
                 min_wall_ns: 0,
-                check_mem: true,
             };
 
             // Identical reports always pass.
@@ -500,36 +497,20 @@ fn gate_boundaries_are_exact_at_every_tolerance() {
                 "identical must pass at tol {tol}: {verdict:?}"
             );
 
-            // Counter boundary: drift of exactly base×tol passes in both
-            // directions; one more unit fails and names the counter.
+            // Counters are exact whatever the wall tolerance: one unit of
+            // drift either way fails and names the counter.
             let victim = "c2";
             let b = base.counters[victim];
-            let drift = (b as f64 * tol) as u64;
-            for cand_value in [b + drift, b - drift] {
+            for cand_value in [b + 1, b - 1] {
                 let mut cand = base.clone();
                 cand.counters.insert(victim.to_owned(), cand_value);
+                let verdict = compare(&base, &cand, &cfg);
                 assert!(
-                    compare(&base, &cand, &cfg).passed(),
-                    "{b} -> {cand_value} is on the boundary at tol {tol} (seed {seed})"
-                );
-            }
-            let mut too_high = base.clone();
-            too_high.counters.insert(victim.to_owned(), b + drift + 1);
-            let verdict = compare(&base, &too_high, &cfg);
-            assert!(!verdict.passed());
-            assert!(
-                verdict.violations.iter().any(|v| matches!(
-                    v,
-                    GateViolation::CounterDrift { name, .. } if name == victim
-                )),
-                "offending counter must be named: {verdict:?}"
-            );
-            if let Some(cand_value) = b.checked_sub(drift + 1) {
-                let mut too_low = base.clone();
-                too_low.counters.insert(victim.to_owned(), cand_value);
-                assert!(
-                    !compare(&base, &too_low, &cfg).passed(),
-                    "{b} -> {cand_value} exceeds tol {tol} downward (seed {seed})"
+                    verdict.violations.iter().any(|v| matches!(
+                        v,
+                        GateViolation::CounterDrift { name, .. } if name == victim
+                    )),
+                    "{b} -> {cand_value} must name the counter at tol {tol} (seed {seed}): {verdict:?}"
                 );
             }
 

@@ -753,12 +753,9 @@ fn solve_document(
     algorithm: Algorithm,
     request_id: &str,
 ) -> Result<Json, (u16, String)> {
-    // The document tree is dropped before the solve: dead weight there.
     let ds = std::str::from_utf8(body)
         .map_err(|_| "stream did not contain valid UTF-8".to_owned())
-        .and_then(|text| mc3_core::json::parse(text).map_err(|e| e.to_string()))
-        .and_then(|doc| mc3_workload::DatasetFile::from_json(&doc))
-        .and_then(|file| file.into_dataset().map_err(|e| e.to_string()))
+        .and_then(mc3_workload::parse_dataset_json)
         .map_err(|e| (400, format!("bad dataset: {e}")))?;
     let mut solver = Mc3Solver::new().algorithm(algorithm);
     if let Some(cache) = &state.solve_cache {

@@ -157,7 +157,6 @@ fn serving_plane_end_to_end() {
         "# TYPE mc3_requests_total counter",
         "# TYPE mc3_inflight_requests gauge",
         "# TYPE mc3_request_latency_seconds histogram",
-        "# TYPE mc3_log_events_dropped_total counter",
         "# TYPE mc3_build_info gauge",
         "# TYPE mc3_span_wall_nanoseconds_total counter",
     ] {

@@ -257,15 +257,6 @@ pub fn solve_greedy(instance: &SetCoverInstance) -> Result<SetCoverSolution> {
         mc3_telemetry::Counter::GreedySelected,
         selected.len() as u64,
     );
-    mc3_obs::debug(
-        "setcover",
-        "greedy cover built",
-        &[
-            ("iterations", iterations.into()),
-            ("pq_rebuilds", pq_rebuilds.into()),
-            ("selected", selected.len().into()),
-        ],
-    );
     #[cfg(feature = "verify")]
     {
         let _vspan = mc3_telemetry::span("verify.greedy_dual");

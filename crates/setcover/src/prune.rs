@@ -60,11 +60,13 @@ pub fn prune_redundant(
             keep.push(s);
         }
     }
-    drop(prune_span);
+    // Tallied while the span is open: a caller that opens no span of its
+    // own (`solve_with_multivalued`) would otherwise record it nowhere.
     mc3_telemetry::span_add(
         mc3_telemetry::Counter::BitCoverWordOps,
         unique.take_word_ops(),
     );
+    drop(prune_span);
     SetCoverSolution::new(instance, keep)
 }
 
@@ -89,6 +91,22 @@ mod tests {
         assert!(pruned.is_cover(&inst));
         assert_eq!(pruned.selected, vec![1, 2]);
         assert_eq!(pruned.cost, w(2));
+    }
+
+    #[test]
+    fn word_ops_are_recorded_under_the_prune_span() {
+        let inst = SetCoverInstance::new(2, vec![(vec![0, 1], w(10)), (vec![0, 1], w(2))]);
+        let sol = SetCoverSolution::new(&inst, vec![0, 1]);
+        let session = mc3_telemetry::Session::begin();
+        prune_redundant(&inst, &sol);
+        let report = session.finish();
+        let prune = report
+            .spans
+            .iter()
+            .find(|s| s.name == "setcover.prune")
+            .expect("a bare call records a setcover.prune root");
+        let ops = prune.counters.get("bitcover_word_ops").copied();
+        assert!(ops.unwrap_or(0) > 0, "{prune:?}");
     }
 
     #[test]

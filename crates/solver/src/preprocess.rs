@@ -98,22 +98,6 @@ pub fn preprocess(ws: &mut WorkState<'_>, opts: &PreprocessOptions) -> Result<Pr
     }
 
     stats.covered_queries = queries_before - ws.alive_queries();
-    mc3_obs::debug(
-        "solver",
-        "preprocess done",
-        &[
-            ("selected", stats.selected.into()),
-            (
-                "removed_by_decomposition",
-                stats.removed_by_decomposition.into(),
-            ),
-            (
-                "removed_by_singleton_pruning",
-                stats.removed_by_singleton_pruning.into(),
-            ),
-            ("covered_queries", stats.covered_queries.into()),
-        ],
-    );
     Ok(stats)
 }
 

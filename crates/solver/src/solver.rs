@@ -372,14 +372,6 @@ impl Mc3Solver {
         let alive = ws.alive_query_indices();
         let comps = connected_components(instance.queries(), &alive);
         let num_components = comps.len();
-        mc3_obs::debug(
-            "solver",
-            "components split",
-            &[
-                ("components", comps.len().into()),
-                ("alive_queries", alive.len().into()),
-            ],
-        );
         mc3_telemetry::span_add(mc3_telemetry::Counter::ComponentsSplit, comps.len() as u64);
         if mc3_telemetry::is_enabled() {
             for comp in &comps {

@@ -95,8 +95,8 @@ static EPOCH: OnceLock<Instant> = OnceLock::new();
 ///
 /// This crate is the one place allowed to read the clock (the
 /// `no-bare-instant` lint pins that); consumers that need raw timestamps —
-/// the `mc3-obs` event log's per-event `ts_ns` and its token-bucket rate
-/// limiter — go through this helper instead of `Instant::now()` pairs.
+/// the `mc3-obs` event log's per-event `ts_ns` — go through this helper
+/// instead of `Instant::now()` pairs.
 pub fn monotonic_ns() -> u64 {
     let epoch = *EPOCH.get_or_init(Instant::now);
     spans::duration_ns(epoch.elapsed())

@@ -276,14 +276,21 @@ pub fn write_dataset_json(ds: &Dataset, mut w: impl Write) -> std::io::Result<()
     w.write_all(json.as_bytes())
 }
 
-/// Reads a dataset from JSON.
+/// Reads a dataset from JSON: [`parse_dataset_json`] over the reader's
+/// text, with its errors as [`std::io::ErrorKind::InvalidData`].
 pub fn read_dataset_json(mut r: impl Read) -> std::io::Result<Dataset> {
-    let invalid = |e: String| std::io::Error::new(std::io::ErrorKind::InvalidData, e);
     let mut buf = String::new();
     r.read_to_string(&mut buf)?;
-    let doc = json::parse(&buf).map_err(|e| invalid(e.to_string()))?;
-    let file = DatasetFile::from_json(&doc).map_err(invalid)?;
-    let ds = file.into_dataset().map_err(|e| invalid(e.to_string()))?;
+    parse_dataset_json(&buf).map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e))
+}
+
+/// Decodes a dataset from JSON text: parse, check the document's shape,
+/// build the instance. The error is the first failing step's message.
+pub fn parse_dataset_json(text: &str) -> Result<Dataset, String> {
+    let doc = json::parse(text).map_err(|e| e.to_string())?;
+    let ds = DatasetFile::from_json(&doc)?
+        .into_dataset()
+        .map_err(|e| e.to_string())?;
     mc3_obs::debug(
         "workload",
         "dataset parsed",

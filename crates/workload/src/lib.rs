@@ -26,7 +26,7 @@ pub mod subset;
 pub mod synthetic;
 
 pub use bestbuy::BestBuyConfig;
-pub use io::{read_dataset_json, write_dataset_json, DatasetFile, WeightSpec};
+pub use io::{parse_dataset_json, read_dataset_json, write_dataset_json, DatasetFile, WeightSpec};
 pub use mix::{generate_dataset, GeneratorKind, MixEntry, RequestMix};
 pub use private_like::{PrivateCategory, PrivateConfig};
 pub use subset::random_subset;
