@@ -607,7 +607,11 @@ fn run_pinned_workload() -> Result<TelemetryReport, String> {
 }
 
 /// The bench-gate baselines check 7 reads, relative to the workspace root.
-const BASELINE_FILES: [&str; 2] = ["BENCH_baseline.json", "BENCH_bestbuy.json"];
+const BASELINE_FILES: [&str; 3] = [
+    "BENCH_baseline.json",
+    "BENCH_bestbuy.json",
+    "BENCH_private.json",
+];
 
 /// Check 7: each baseline's report-level peak is its largest root's peak.
 fn check_baselines(root: &Path, report: &mut ConsistencyReport) {

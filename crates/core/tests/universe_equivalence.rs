@@ -101,59 +101,124 @@ fn rand_instance(rng: &mut StdRng) -> Instance {
     Instance::new(queries, weights).expect("valid instance")
 }
 
+/// Builds the bounded universe of `instance` and asserts it equal to the
+/// reference in every observable: ids, weights, incidences, lookups and
+/// mask tables. Returns the number of `(query, subset)` pairs and the
+/// number of distinct classifiers.
+fn assert_matches_reference(
+    instance: &Instance,
+    kp: usize,
+    rng: &mut StdRng,
+    seed: u64,
+) -> (usize, usize) {
+    let u = ClassifierUniverse::build_bounded(instance, kp);
+    let r = reference(instance, kp);
+
+    assert_eq!(u.len(), r.classifiers.len(), "size, seed {seed}");
+    assert_eq!(u.weights(), &r.weights[..], "weights, seed {seed}");
+    for (id, c) in u.iter() {
+        assert_eq!(
+            c.to_propset(),
+            r.classifiers[id.index()],
+            "id {id}, seed {seed}"
+        );
+        assert_eq!(u.classifier(id), c, "seed {seed}");
+        assert_eq!(u.incidence(id), r.incidence[id.index()], "seed {seed}");
+        assert_eq!(u.id_of(&r.classifiers[id.index()]), Some(id), "seed {seed}");
+        assert_eq!(
+            u.require_id(&r.classifiers[id.index()]),
+            Ok(id),
+            "seed {seed}"
+        );
+    }
+    assert_eq!(
+        u.max_incidence(),
+        r.incidence.iter().copied().max().unwrap_or(0),
+        "seed {seed}"
+    );
+    assert_eq!(u.num_queries(), r.tables.len(), "seed {seed}");
+    for (qi, table) in r.tables.iter().enumerate() {
+        let local = u.query_local(qi);
+        assert_eq!(local.table, &table[..], "table {qi}, seed {seed}");
+        assert_eq!(1 << local.len, table.len(), "length {qi}, seed {seed}");
+    }
+    assert_eq!(
+        u.mask_tables(),
+        &r.tables.concat()[..],
+        "table arena, seed {seed}"
+    );
+    // sets outside C_Q: a property no query has, and pairs no query holds
+    let absent = PropSet::from_ids([1_000_000u32]);
+    assert_eq!(u.id_of(&absent), None, "seed {seed}");
+    assert!(matches!(
+        u.require_id(&absent),
+        Err(Mc3Error::ClassifierOutsideUniverse { .. })
+    ));
+    for _ in 0..20 {
+        let probe = PropSet::from_ids([rng.gen_range(0..40u32), rng.gen_range(0..40u32)]);
+        assert_eq!(
+            u.id_of(&probe),
+            r.index.get(&probe).copied(),
+            "probe {probe}, seed {seed}"
+        );
+    }
+    let pairs = r
+        .tables
+        .iter()
+        .map(|t| t.iter().filter(|id| !id.is_none()).count())
+        .sum();
+    (pairs, u.len())
+}
+
+fn rand_kp(rng: &mut StdRng, instance: &Instance) -> usize {
+    match rng.gen_range(0..4u32) {
+        0 => 1,
+        1 => 2,
+        2 => 3,
+        _ => instance.max_query_len(),
+    }
+}
+
 #[test]
 fn arena_universe_matches_hash_map_reference() {
     for seed in 0..CASES {
         let mut rng = StdRng::seed_from_u64(seed);
         let instance = rand_instance(&mut rng);
-        let kp = match rng.gen_range(0..4u32) {
-            0 => 1,
-            1 => 2,
-            2 => 3,
-            _ => instance.max_query_len(),
-        };
-        let u = ClassifierUniverse::build_bounded(&instance, kp);
-        let r = reference(&instance, kp);
-
-        assert_eq!(u.len(), r.classifiers.len(), "size, seed {seed}");
-        assert_eq!(u.weights(), &r.weights[..], "weights, seed {seed}");
-        for (id, c) in u.iter() {
-            assert_eq!(
-                c.to_propset(),
-                r.classifiers[id.index()],
-                "id {id}, seed {seed}"
-            );
-            assert_eq!(u.classifier(id), c, "seed {seed}");
-            assert_eq!(u.incidence(id), r.incidence[id.index()], "seed {seed}");
-            assert_eq!(u.id_of(&r.classifiers[id.index()]), Some(id), "seed {seed}");
-            assert_eq!(
-                u.require_id(&r.classifiers[id.index()]),
-                Ok(id),
-                "seed {seed}"
-            );
-        }
-        assert_eq!(
-            u.max_incidence(),
-            r.incidence.iter().copied().max().unwrap_or(0),
-            "seed {seed}"
-        );
-        for (qi, table) in r.tables.iter().enumerate() {
-            assert_eq!(&u.query_local(qi).table, table, "table {qi}, seed {seed}");
-        }
-        // sets outside C_Q: a property no query has, and pairs no query holds
-        let absent = PropSet::from_ids([1_000_000u32]);
-        assert_eq!(u.id_of(&absent), None, "seed {seed}");
-        assert!(matches!(
-            u.require_id(&absent),
-            Err(Mc3Error::ClassifierOutsideUniverse { .. })
-        ));
-        for _ in 0..20 {
-            let probe = PropSet::from_ids([rng.gen_range(0..40u32), rng.gen_range(0..40u32)]);
-            assert_eq!(
-                u.id_of(&probe),
-                r.index.get(&probe).copied(),
-                "probe {probe}, seed {seed}"
-            );
-        }
+        let kp = rand_kp(&mut rng, &instance);
+        assert_matches_reference(&instance, kp, &mut rng, seed);
     }
+}
+
+#[test]
+fn heavy_sharing_keeps_first_occurrence_ids() {
+    // Long queries over a tiny pool: every query's subsets are mostly
+    // ones an earlier query already interned, so the pair count the
+    // universe is sized by far exceeds the distinct classifiers. Ids
+    // must still follow first occurrence, and every lookup must find its
+    // classifier in the sized table.
+    let mut widest = 0.0f64;
+    for seed in 0..CASES / 4 {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5bad);
+        let pool = rng.gen_range(6..12u32);
+        let nq = rng.gen_range(20..200usize);
+        let queries: Vec<Vec<u32>> = (0..nq)
+            .map(|_| {
+                let len = rng.gen_range(4..=8usize);
+                (0..len).map(|_| rng.gen_range(0..pool)).collect()
+            })
+            .collect();
+        let weights = if rng.gen_bool(0.5) {
+            Weights::seeded(rng.gen::<u64>(), 1, 50)
+        } else {
+            Weights::uniform(1u64)
+        };
+        let instance = Instance::new(queries, weights).expect("valid instance");
+        let kp = rand_kp(&mut rng, &instance);
+        let (pairs, distinct) = assert_matches_reference(&instance, kp, &mut rng, seed);
+        widest = widest.max(pairs as f64 / distinct as f64);
+    }
+    assert!(
+        widest > 10.0,
+        "no case shared heavily: {widest:.1} pairs per classifier"
+    );
 }

@@ -149,7 +149,9 @@ fn step3_fixpoint(
     let mut work = Worklist::new(ws);
     for (id, c) in ws.universe.iter() {
         if c.len() >= 2 {
-            work.push(id, c.len());
+            if let Some((q, m)) = ws.occurrences(id).next() {
+                work.push(id, q, m);
+            }
         }
     }
 
@@ -162,27 +164,37 @@ fn step3_fixpoint(
         // --- decomposition sweep over the queued classifiers, by increasing length ---
         for len in 2..work.buckets.len() {
             let mut bucket = std::mem::take(&mut work.buckets[len]);
-            for &raw in &bucket {
-                let id = ClassifierId(raw);
-                let c = raw as usize;
+            for &Queued { q, m } in &bucket {
+                let id = ws.universe.query_local(q as usize).id(m);
+                let c = id.index();
                 work.unqueue(id);
                 if ws.selected[c] || ws.relevant_count[c] == 0 {
                     continue;
                 }
-                let Some((q, m)) = ws.occurrences(id).next() else {
-                    continue;
-                };
                 evals += 1;
-                let best = cheapest_decomposition(ws, q as usize, m);
                 if ws.removed[c] {
                     // keep the recorded replacement fresh (it may have
                     // become cheaper after later selections)
+                    let best = cheapest_decomposition(ws, q as usize, m, ws.eff[c]);
                     if best < ws.eff[c] {
                         ws.eff[c] = best;
                         changed = true;
                     }
-                } else if best <= ws.weight[c] {
+                    continue;
+                }
+                // Only a decomposition costing at most W(c) matters; a
+                // weight of `MAX_FINITE` or more has no `W(c) + 1`, and
+                // a saturated sum can tie it.
+                let w = ws.weight[c];
+                let bound = if w >= Weight::MAX_FINITE {
+                    Weight::INFINITE
+                } else {
+                    Weight::new(w.raw() + 1)
+                };
+                let best = cheapest_decomposition(ws, q as usize, m, bound);
+                if best <= w {
                     ws.remove(id, best);
+                    work.touch_occurrences(ws, id);
                     stats.removed_by_decomposition += 1;
                     mc3_telemetry::span_add(mc3_telemetry::Counter::PreObs33Removed, 1);
                     changed = true;
@@ -205,11 +217,25 @@ fn step3_fixpoint(
     Ok(())
 }
 
+/// A classifier queued for re-pricing, as the `(query, local mask)`
+/// occurrence it was queued from. It is priced there: its subsets, and so
+/// its decompositions, are the same in every query holding it.
+#[derive(Clone, Copy)]
+struct Queued {
+    q: u32,
+    m: u32,
+}
+
 /// The Step-3 worklist: classifiers to re-price, bucketed by length and
-/// deduplicated by a queued bitset.
+/// deduplicated by a queued bitset, plus the queries the next forced scan
+/// must visit.
 struct Worklist {
-    buckets: Vec<Vec<u32>>,
+    buckets: Vec<Vec<Queued>>,
     queued: Vec<u64>,
+    /// Queries whose covered mask or usable classifiers may have changed
+    /// since their last forced scan. A scan that forces nothing leaves
+    /// the query untouched, and scanning it again would force nothing.
+    touched: Vec<bool>,
 }
 
 impl Worklist {
@@ -217,14 +243,24 @@ impl Worklist {
         Worklist {
             buckets: vec![Vec::new(); ws.universe.max_classifier_len() + 1],
             queued: vec![0; ws.universe.len().div_ceil(64)],
+            touched: vec![true; ws.instance.num_queries()],
         }
     }
 
-    fn push(&mut self, id: ClassifierId, len: usize) {
+    /// Marks every query `id` occurs in for the next forced scan: a
+    /// removal or selection of `id` changes only those queries.
+    fn touch_occurrences(&mut self, ws: &WorkState<'_>, id: ClassifierId) {
+        for (q, _) in ws.occurrences(id) {
+            self.touched[q as usize] = true;
+        }
+    }
+
+    /// Queues `id`, which occurs at local mask `m` of query `q`.
+    fn push(&mut self, id: ClassifierId, q: u32, m: u32) {
         let (word, bit) = (id.index() / 64, 1u64 << (id.index() % 64));
         if self.queued[word] & bit == 0 {
             self.queued[word] |= bit;
-            self.buckets[len].push(id.0);
+            self.buckets[m.count_ones() as usize].push(Queued { q, m });
         }
     }
 
@@ -247,7 +283,7 @@ impl Worklist {
             while extra != 0 {
                 let sup = local.table[(m | extra) as usize];
                 if !sup.is_none() {
-                    self.push(sup, (m | extra).count_ones() as usize);
+                    self.push(sup, q, m | extra);
                 }
                 extra = (extra - 1) & rest;
             }
@@ -257,11 +293,16 @@ impl Worklist {
 
 /// The cheapest pair `(A, B)` of proper sub-classifiers of the classifier at
 /// local mask `m` of query `q` with `A ∪ B` equal to it, priced by effective
-/// weights. One member of every such pair holds the lowest bit of `m`, so
-/// only those `A` are enumerated.
-fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32) -> Weight {
+/// weights, or `incumbent` if none is cheaper. One member of every such
+/// pair holds the lowest bit of `m`, so only those `A` are enumerated, and
+/// an `A` priced at or above the best so far is skipped without probing
+/// its partners (sums saturate, so they never fall below a member).
+fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32, incumbent: Weight) -> Weight {
+    let mut best = incumbent;
+    if best.is_zero() {
+        return best;
+    }
     let local = ws.universe.query_local(q);
-    let mut best = Weight::INFINITE;
     let low = m & m.wrapping_neg();
     let rest = m & !low;
     // a = low ∪ s iterates over proper submasks of m holding the lowest bit
@@ -286,7 +327,7 @@ fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32) -> Weight {
                 extra = (extra - 1) & a;
             }
         }
-        if s == 0 {
+        if s == 0 || best.is_zero() {
             break;
         }
         s = (s - 1) & rest;
@@ -298,6 +339,12 @@ fn cheapest_decomposition(ws: &WorkState<'_>, q: usize, m: u32) -> Weight {
 /// in exactly one usable classifier fitting the query, select it. A
 /// selection drops its effective weight to 0, so its supersets are queued on
 /// `work` for the next pass.
+///
+/// Only queries touched since their last scan are visited. A query's scan
+/// reads its covered mask and which of its classifiers are usable; only a
+/// selection or a Step-3 removal of one of its classifiers changes those
+/// (a classifier that turns irrelevant occurs in no alive query), and
+/// both touch every query the classifier occurs in.
 fn select_forced(
     ws: &mut WorkState<'_>,
     stats: &mut PreprocessStats,
@@ -308,9 +355,10 @@ fn select_forced(
     let mut count = [0u32; mc3_core::MAX_QUERY_LEN];
     let mut last = [0u32; mc3_core::MAX_QUERY_LEN];
     for q in 0..nq {
-        if !ws.alive[q] {
+        if !ws.alive[q] || !work.touched[q] {
             continue;
         }
+        work.touched[q] = false;
         let need = ws.need(q);
         if need == 0 {
             ws.kill_query(q);
@@ -319,6 +367,9 @@ fn select_forced(
         let local = ws.universe.query_local(q);
         let len = local.len;
         count[..len].iter_mut().for_each(|c| *c = 0);
+        // Only whether a needed bit has 0, 1 or more usable classifiers
+        // matters, so the scan stops once every one has two.
+        let (needed, mut settled) = (need.count_ones(), 0);
         for mask in 1..u32_of(local.table.len()) {
             let id = local.table[mask as usize];
             if id.is_none() || !ws.is_usable(id) {
@@ -330,6 +381,10 @@ fn select_forced(
                 bits &= bits - 1;
                 count[b] += 1;
                 last[b] = mask;
+                settled += u32::from(count[b] == 2);
+            }
+            if settled == needed {
+                break;
             }
         }
         let mut to_select: Option<u32> = None;
@@ -350,6 +405,7 @@ fn select_forced(
             let id = ws.universe.query_local(q).table[mask as usize];
             let dropped = !ws.eff[id.index()].is_zero();
             ws.select(id);
+            work.touch_occurrences(ws, id);
             if dropped {
                 work.mark_supersets(ws, id);
             }

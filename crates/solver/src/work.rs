@@ -53,12 +53,9 @@ impl<'a> WorkState<'a> {
 
         // Count occurrences per classifier, then fill CSR.
         let mut counts = vec![0u32; m];
-        for qi in 0..nq {
-            let local = universe.query_local(qi);
-            for &id in &local.table {
-                if !id.is_none() {
-                    counts[id.index()] += 1;
-                }
+        for &id in universe.mask_tables() {
+            if !id.is_none() {
+                counts[id.index()] += 1;
             }
         }
         let mut occ_off = vec![0u32; m + 1];
@@ -192,9 +189,8 @@ impl<'a> WorkState<'a> {
         }
         self.alive[q] = false;
         self.alive_queries -= 1;
-        let table_len = self.universe.query_local(q).table.len();
-        for mask in 1..table_len {
-            let id = self.universe.query_local(q).table[mask];
+        let local = self.universe.query_local(q);
+        for &id in &local.table[1..] {
             if id.is_none() {
                 continue;
             }

@@ -277,19 +277,19 @@ fn work_state<'a>(case: &'a Case) -> WorkState<'a> {
     WorkState::new(&case.instance, universe)
 }
 
-#[test]
-fn worklist_step3_matches_pass_based_reference() {
-    let (mut capped, mut beyond_cap, mut bounded) = (0, 0, 0);
-    for seed in 0..CASES {
-        let case = rand_case(seed);
-        let mut lib = work_state(&case);
-        let mut reference = work_state(&case);
-        let got = preprocess(&mut lib, &case.opts);
-        let want = reference_preprocess(&mut reference, &case.opts);
-        assert_eq!(got, want, "outcome and stats, seed {seed}");
-        if got.is_err() {
-            continue;
-        }
+/// Runs `case` through the library and the reference and asserts the
+/// outcome, the statistics and the whole working state identical; returns
+/// the outcome and the library's state.
+fn assert_matches_reference<'a>(
+    case: &'a Case,
+    seed: u64,
+) -> (Result<PreprocessStats>, WorkState<'a>) {
+    let mut lib = work_state(case);
+    let mut reference = work_state(case);
+    let got = preprocess(&mut lib, &case.opts);
+    let want = reference_preprocess(&mut reference, &case.opts);
+    assert_eq!(got, want, "outcome and stats, seed {seed}");
+    if got.is_ok() {
         assert_eq!(lib.removed, reference.removed, "removed, seed {seed}");
         assert_eq!(lib.eff, reference.eff, "eff, seed {seed}");
         assert_eq!(lib.weight, reference.weight, "weight, seed {seed}");
@@ -306,14 +306,178 @@ fn worklist_step3_matches_pass_based_reference() {
             "relevance, seed {seed}"
         );
         assert_eq!(lib.base_cost, reference.base_cost, "base cost, seed {seed}");
+    }
+    (got, lib)
+}
 
-        let passes = got.as_ref().map(|s| s.passes).unwrap_or(0);
-        capped += usize::from(case.opts.max_passes == 6 && passes == 6);
-        beyond_cap += usize::from(passes > 6);
+#[test]
+fn worklist_step3_matches_pass_based_reference() {
+    let (mut capped, mut beyond_cap, mut bounded) = (0, 0, 0);
+    for seed in 0..CASES {
+        let case = rand_case(seed);
+        let (got, _) = assert_matches_reference(&case, seed);
+        let Ok(stats) = got else { continue };
+        capped += usize::from(case.opts.max_passes == 6 && stats.passes == 6);
+        beyond_cap += usize::from(stats.passes > 6);
         bounded += usize::from(case.kp.is_some());
     }
     // the corpus must exercise the cap, runs past it, and bounded universes
     assert!(capped > 0, "no case reached the 6-pass cap");
     assert!(beyond_cap > 0, "no case ran past 6 passes");
     assert!(bounded > 0, "no bounded-universe case");
+}
+
+/// Weights at and just below `Weight::MAX_FINITE`, and halves and thirds
+/// of it, so that decomposition sums saturate and tie weights of
+/// `MAX_FINITE`; some classifiers are absent (infinite), so some of those
+/// have no finite decomposition.
+fn near_max_weights(rng: &mut StdRng, queries: &[Vec<u32>]) -> Weights {
+    let max = Weight::MAX_FINITE.raw();
+    let mut b = WeightsBuilder::new();
+    let instance = Instance::new(queries.to_vec(), Weights::uniform(1u64)).expect("valid");
+    let universe = ClassifierUniverse::build(&instance);
+    for (_, c) in universe.iter() {
+        let w = match rng.gen_range(0..8u32) {
+            0 => continue,
+            1 => max,
+            2 => max - rng.gen_range(0..4u64),
+            3 | 4 => max / 2 + rng.gen_range(0..3u64),
+            5 => max / 3 + rng.gen_range(0..3u64),
+            _ => rng.gen_range(1..40u64),
+        };
+        b.insert(c.to_propset(), Weight::new(w));
+    }
+    b.build()
+}
+
+#[test]
+fn bounded_pricing_matches_reference_near_max_finite() {
+    // A classifier of weight MAX_FINITE has no W(c) + 1 to bound its
+    // pricing by: a saturated decomposition sum ties it and must remove
+    // it, and one with no finite decomposition must keep it.
+    let (mut ties, mut kept) = (0, 0);
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0x5a7u64 << 32);
+        let queries = rand_queries(&mut rng);
+        let weights = near_max_weights(&mut rng, &queries);
+        let case = Case {
+            instance: Instance::new(queries, weights).expect("valid instance"),
+            kp: None,
+            prebuilt: Vec::new(),
+            opts: PreprocessOptions {
+                max_passes: [1, 6, 50][rng.gen_range(0..3usize)],
+                ..PreprocessOptions::default()
+            },
+        };
+        let (got, lib) = assert_matches_reference(&case, seed);
+        if got.is_err() {
+            continue;
+        }
+        for (id, c) in lib.universe.iter() {
+            let c_at_max = c.len() > 1 && lib.universe.weight(id) == Weight::MAX_FINITE;
+            if c_at_max && lib.removed[id.index()] && lib.eff[id.index()] == Weight::MAX_FINITE {
+                ties += 1;
+            }
+            if c_at_max && !lib.removed[id.index()] && !lib.selected[id.index()] {
+                kept += 1;
+            }
+        }
+    }
+    assert!(ties > 0, "no MAX_FINITE classifier was removed at a tie");
+    assert!(kept > 0, "no MAX_FINITE classifier was kept");
+
+    // The smallest tie: X + Y saturates at W(XY) = MAX_FINITE, while XZ
+    // has no finite decomposition (Z is absent) and stays.
+    let half = Weight::new(Weight::MAX_FINITE.raw() / 2 + 1);
+    let w = WeightsBuilder::new()
+        .classifier([0u32], half)
+        .classifier([1u32], half)
+        .classifier([0u32, 1], Weight::MAX_FINITE)
+        .classifier([0u32, 2], Weight::MAX_FINITE)
+        .build();
+    let case = Case {
+        instance: Instance::new(vec![vec![0u32, 1], vec![0u32, 2]], w).expect("valid"),
+        kp: None,
+        prebuilt: Vec::new(),
+        opts: PreprocessOptions::default(),
+    };
+    let (got, lib) = assert_matches_reference(&case, u64::MAX);
+    assert!(got.is_ok());
+    let xy = lib
+        .universe
+        .id_of(&PropSet::from_ids([0u32, 1]))
+        .expect("XY");
+    assert!(lib.removed[xy.index()], "the tie at MAX_FINITE removes XY");
+    let xz = lib
+        .universe
+        .id_of(&PropSet::from_ids([0u32, 2]))
+        .expect("XZ");
+    assert!(!lib.removed[xz.index()], "XZ has no finite decomposition");
+}
+
+#[test]
+fn touched_scan_reports_uncoverable_like_the_full_scan() {
+    // A Step-3 removal never makes a query uncoverable on its own: a
+    // removed classifier's finite price comes from a finite sub-classifier
+    // holding each of its properties, down to a usable or selected one.
+    // So an uncoverable query is reported by the first forced scan, which
+    // runs after pass 1's removals and selections have touched queries,
+    // and it must name the same query as the full scan.
+    //
+    // Queries {0,1} and {1,2} lose XY and YZ to their decompositions in
+    // pass 1; {3,4} and {4,5} need property 4, which no finite classifier
+    // holds.
+    let w = WeightsBuilder::new()
+        .classifier([0u32], 1u64)
+        .classifier([1u32], 1u64)
+        .classifier([2u32], 1u64)
+        .classifier([3u32], 1u64)
+        .classifier([0u32, 1], 5u64)
+        .classifier([1u32, 2], 5u64)
+        .classifier([3u32, 4], Weight::INFINITE)
+        .build();
+    let queries = vec![vec![0u32, 1], vec![1u32, 2], vec![3u32, 4], vec![4u32, 5]];
+    let case = Case {
+        instance: Instance::new(queries, w).expect("valid"),
+        kp: None,
+        prebuilt: Vec::new(),
+        opts: PreprocessOptions::default(),
+    };
+    let (got, _) = assert_matches_reference(&case, u64::MAX);
+    assert!(matches!(got, Err(Mc3Error::Uncoverable { .. })), "{got:?}");
+
+    // Random uncoverable cases after Step-3 removals: mostly absent
+    // weights, so both removals and uncoverable properties are common.
+    let mut after_removals = 0;
+    for seed in 0..CASES {
+        let mut rng = StdRng::seed_from_u64(seed ^ 0xc0ffee);
+        let queries = rand_queries(&mut rng);
+        let mut b = WeightsBuilder::new();
+        let instance = Instance::new(queries.clone(), Weights::uniform(1u64)).expect("valid");
+        for (_, c) in ClassifierUniverse::build(&instance).iter() {
+            if rng.gen_bool(0.85) {
+                b.insert(
+                    c.to_propset(),
+                    Weight::new(rng.gen_range(1..9u64) * c.len() as u64),
+                );
+            }
+        }
+        let case = Case {
+            instance: Instance::new(queries, b.build()).expect("valid instance"),
+            kp: None,
+            prebuilt: Vec::new(),
+            opts: PreprocessOptions {
+                singletons_and_zero: false,
+                ..PreprocessOptions::default()
+            },
+        };
+        let (got, lib) = assert_matches_reference(&case, seed);
+        if got.is_err() && lib.removed.iter().any(|&r| r) {
+            after_removals += 1;
+        }
+    }
+    assert!(
+        after_removals > 0,
+        "no uncoverable case followed a Step-3 removal"
+    );
 }
