@@ -74,7 +74,9 @@ pub mod universe;
 pub mod weight;
 pub mod weights;
 
-pub use canon::{canonicalize, canonicalize_instance, stable_hash128, Canonical, StableHasher};
+pub use canon::{
+    canonicalize, canonicalize_instance, stable_hash128, Canonical, Canonicalizer, StableHasher,
+};
 pub use cast::{i64_of, u16_of, u32_of, u8_of};
 pub use certificate::{Certificate, CoverWitness};
 pub use cover::is_cover;

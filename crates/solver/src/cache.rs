@@ -59,7 +59,7 @@
 //! evicted slot one extra uncached solve; neither changes an answer.
 
 use crate::work::WorkState;
-use mc3_core::canon::{self, Canonical, StableHasher};
+use mc3_core::canon::{self, Canonical, Canonicalizer, StableHasher};
 use mc3_core::{u32_of, ClassifierId, FxHashMap, PropSet, Query, Weight};
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -448,11 +448,12 @@ pub fn prekey(
 /// for its inputs). A component that runs out of canonicalization budget
 /// is counted and solved uncached.
 fn component_canonical(
+    canonicalizer: &mut Canonicalizer,
     queries: &[(&Query, u32)],
     kp: usize,
     weight_of: impl FnMut(usize, u32) -> Weight,
 ) -> Option<Canonical> {
-    let canonical = canon::canonicalize(queries, kp, canon::DEFAULT_BUDGET, weight_of);
+    let canonical = canonicalizer.canonicalize(queries, kp, canon::DEFAULT_BUDGET, weight_of);
     if canonical.is_none() {
         mc3_telemetry::span_add(mc3_telemetry::Counter::CanonBudgetExhausted, 1);
     }
@@ -575,6 +576,9 @@ pub(crate) struct CacheContext {
     pub cache: Arc<SolveCache>,
     pub digest: u64,
     pub kp: usize,
+    /// Buffers every component's canonicalization reuses; they live as
+    /// long as this context, one solve.
+    pub canonicalizer: Canonicalizer,
 }
 
 impl CacheContext {
@@ -588,7 +592,7 @@ impl CacheContext {
     /// queries with their covered masks, and the live weight oracle
     /// (removed / absent → ∞, selected → 0).
     pub fn solve_component(
-        &self,
+        &mut self,
         ws: &WorkState<'_>,
         comp: &[usize],
         solve: impl FnOnce() -> mc3_core::Result<Vec<ClassifierId>>,
@@ -621,7 +625,7 @@ impl CacheContext {
         }
         let canonical = {
             let _span = mc3_telemetry::span("cache.canon");
-            component_canonical(&queries, self.kp, weight_of)
+            component_canonical(&mut self.canonicalizer, &queries, self.kp, weight_of)
         };
         let Some(canonical) = canonical else {
             return solve();

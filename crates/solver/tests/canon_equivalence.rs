@@ -21,7 +21,7 @@
 //!
 //! Seeded-loop style (the workspace builds offline, without `proptest`).
 
-use mc3_core::canon::{self, Canonical};
+use mc3_core::canon::{self, Canonical, Canonicalizer};
 use mc3_core::rng::prelude::*;
 use mc3_core::{ClassifierUniverse, Instance, PropId, Query, Weight, Weights};
 use mc3_solver::components::connected_components;
@@ -449,6 +449,9 @@ struct Tally {
     rescued: usize,
     /// Aborts on both sides.
     aborted: usize,
+    /// One canonicalizer for the whole corpus, so every component after
+    /// the first runs on buffers a different component left behind.
+    reused: Canonicalizer,
 }
 
 /// Canonicalizes one component both ways with the same oracle and
@@ -463,6 +466,17 @@ fn check(
 ) {
     let expected = reference::canonicalize(queries, kp, budget, &weight_of);
     let got: Option<Canonical> = canon::canonicalize(queries, kp, budget, &weight_of);
+    let again = tally.reused.canonicalize(queries, kp, budget, &weight_of);
+    assert_eq!(
+        again.as_ref().map(Canonical::fingerprint),
+        got.as_ref().map(Canonical::fingerprint),
+        "{label}: reused buffers"
+    );
+    assert_eq!(
+        again.as_ref().map(Canonical::from_canonical),
+        got.as_ref().map(Canonical::from_canonical),
+        "{label}: reused buffers"
+    );
     match (expected, got) {
         (Some(r), Some(c)) => {
             tally.compared += 1;
